@@ -27,6 +27,25 @@ class Parser {
     ++pos_;
   }
 
+  /// Holds one nesting level (see kMaxParseDepth) for its lifetime.
+  class Nest {
+   public:
+    explicit Nest(Parser& parser) : parser_(parser) {
+      if (parser_.depth_ >= kMaxParseDepth) {
+        const std::string message =
+            "nesting deeper than " + std::to_string(kMaxParseDepth) + " levels";
+        throw SyntaxError(message, parser_.cur().offset);
+      }
+      ++parser_.depth_;
+    }
+    ~Nest() { --parser_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
   // Conditional expressions bind loosest, as in Python:
   //   expr := or_expr ['if' or_expr 'else' expr]      (right-associative)
   AstPtr parse_expr() {
@@ -35,6 +54,7 @@ class Parser {
     take();
     AstPtr cond = parse_or();
     expect(TokKind::KwElse, "'else' in conditional expression");
+    const Nest nest(*this);
     AstPtr otherwise = parse_expr();
     return make_if_else(std::move(value), std::move(cond), std::move(otherwise));
   }
@@ -64,6 +84,7 @@ class Parser {
   AstPtr parse_not() {
     if (at(TokKind::KwNot)) {
       take();
+      const Nest nest(*this);
       return make_unary(UnOp::Not, parse_not());
     }
     return parse_comparison();
@@ -148,10 +169,12 @@ class Parser {
   AstPtr parse_factor() {
     if (at(TokKind::Minus)) {
       take();
+      const Nest nest(*this);
       return make_unary(UnOp::Neg, parse_factor());
     }
     if (at(TokKind::Plus)) {
       take();
+      const Nest nest(*this);
       return make_unary(UnOp::Pos, parse_factor());
     }
     return parse_power();
@@ -161,6 +184,7 @@ class Parser {
     AstPtr base = parse_atom();
     if (at(TokKind::DoubleStar)) {
       take();
+      const Nest nest(*this);
       // Right-associative; exponent may carry a unary sign (2 ** -1).
       return make_binary(BinOp::Pow, std::move(base), parse_factor());
     }
@@ -181,6 +205,7 @@ class Parser {
         Token tok = take();
         if (at(TokKind::LParen)) {
           take();
+          const Nest nest(*this);
           std::vector<AstPtr> args;
           if (!at(TokKind::RParen)) {
             args.push_back(parse_expr());
@@ -212,6 +237,7 @@ class Parser {
         const TokKind close =
             open == TokKind::LParen ? TokKind::RParen : TokKind::RBracket;
         take();
+        const Nest nest(*this);
         if (at(close)) {
           // Empty tuple/list.
           take();
@@ -237,6 +263,7 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< nesting levels currently held by Nest guards
 };
 
 }  // namespace

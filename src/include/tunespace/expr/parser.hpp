@@ -19,6 +19,7 @@
 //              | '(' expr (',' expr)* [','] ')'               (group/tuple)
 //              | '[' expr (',' expr)* [','] ']'               (list literal)
 
+#include <cstddef>
 #include <string>
 
 #include "tunespace/expr/ast.hpp"
@@ -26,8 +27,13 @@
 
 namespace tunespace::expr {
 
-/// Parse a complete expression; throws SyntaxError on malformed input or
-/// trailing tokens.
+/// Deepest nesting parse() accepts.  One level is a bracketed group, list or
+/// call, a conditional's else branch, a 'not', a unary sign or an exponent;
+/// the parser recurses once per level, so the cap bounds its stack use.
+inline constexpr std::size_t kMaxParseDepth = 256;
+
+/// Parse a complete expression; throws SyntaxError on malformed input,
+/// trailing tokens or nesting deeper than kMaxParseDepth.
 AstPtr parse(const std::string& source);
 
 }  // namespace tunespace::expr

@@ -66,8 +66,17 @@ class PackedColumn {
     return static_cast<std::uint32_t>(v & mask_);
   }
 
+  /// Copy entries [begin, begin + count) into `out`, one running bit cursor
+  /// over the words (the bulk form of get()).
+  void decode(std::size_t begin, std::size_t count, std::uint32_t* out) const;
+
   /// Append one entry; `v` must fit in bits().
   void push_back(std::uint32_t v);
+
+  /// Append values[0], values[stride], ... (`count` entries, each fitting in
+  /// bits()), packed with one running bit cursor: the block path that
+  /// SolutionSet::append_block feeds from a row-major block.
+  void append_strided(const std::uint32_t* values, std::size_t count, std::size_t stride);
 
   /// Append `count` entries of `other` starting at `begin`.  Equal-width
   /// appends run as a word-level bit blit (the parallel-merge hot path).

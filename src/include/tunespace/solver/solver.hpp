@@ -12,6 +12,7 @@
 // canonical encoding that makes cross-solver validation an exact set
 // comparison.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -86,9 +87,13 @@ class SolutionSet {
   bool empty() const { return size() == 0; }
 
   /// Append one solution given per-variable domain value indices.
-  void append(const std::uint32_t* value_indices) {
+  void append(const std::uint32_t* value_indices) { append_block(value_indices, 1); }
+
+  /// Append `count` solutions stored row-major at `rows` (num_vars() value
+  /// indices per row), packing each column in one strided pass.
+  void append_block(const std::uint32_t* rows, std::size_t count) {
     for (std::size_t v = 0; v < columns_.size(); ++v) {
-      columns_[v].push_back(value_indices[v]);
+      columns_[v].append_strided(rows + v, count, columns_.size());
     }
   }
 
@@ -134,6 +139,35 @@ class SolutionSet {
 
  private:
   std::vector<PackedColumn> columns_;
+};
+
+/// The fixed-size staging block every engine emits rows through: push()
+/// copies one row into a row-major buffer, and every kRows rows the buffer
+/// is packed into the SolutionSet with append_block.  Call flush() before
+/// reading the set.
+class RowBlock {
+ public:
+  static constexpr std::size_t kRows = 256;
+
+  explicit RowBlock(SolutionSet& out)
+      : out_(&out), vars_(out.num_vars()), rows_(kRows * vars_) {}
+
+  void push(const std::uint32_t* row) {
+    std::copy_n(row, vars_, rows_.data() + count_ * vars_);
+    if (++count_ == kRows) flush();
+  }
+
+  /// Pack the staged rows; the set is complete once this returns.
+  void flush() {
+    out_->append_block(rows_.data(), count_);
+    count_ = 0;
+  }
+
+ private:
+  SolutionSet* out_;
+  std::size_t vars_;
+  std::size_t count_ = 0;
+  std::vector<std::uint32_t> rows_;
 };
 
 /// Result of a full construction.

@@ -6,12 +6,14 @@
 // strings, arrays and objects.  Objects preserve insertion order (a
 // vector of members, not a map), so encoded frames are deterministic and
 // diffable in tests and logs.  Integers are kept exact: a number lexed
-// without '.', 'e' or overflow stays an int64 and round-trips digit for
-// digit, which is what lets csp::Value configurations cross the wire
-// without perturbation.
+// without '.' or 'e' stays an integer — Int for int64, UInt for the
+// integers above INT64_MAX up to UINT64_MAX — and round-trips digit for
+// digit, which is what lets csp::Value configurations and uint64 seeds and
+// ids cross the wire without perturbation.
 //
-// parse() throws tunespace::ServiceError(kProtocol) on malformed input —
-// the same taxonomy the rest of the service stack uses.
+// parse() throws tunespace::ServiceError(kProtocol) on malformed input and
+// on documents nested deeper than kMaxDepth — the same taxonomy the rest of
+// the service stack uses.
 
 #include <cstdint>
 #include <string>
@@ -30,14 +32,19 @@ using Object = std::vector<std::pair<std::string, Value>>;
 /// A JSON document node.
 class Value {
  public:
-  enum class Kind : std::uint8_t { Null, Bool, Int, Double, String, Array, Object };
+  /// UInt holds only integers above INT64_MAX; every other integer is Int.
+  enum class Kind : std::uint8_t { Null, Bool, Int, UInt, Double, String, Array, Object };
+
+  /// Deepest array/object nesting parse() accepts; the parser recurses once
+  /// per level, so the cap bounds its stack use.
+  static constexpr std::size_t kMaxDepth = 256;
 
   Value() : kind_(Kind::Null) {}
   Value(std::nullptr_t) : kind_(Kind::Null) {}                        // NOLINT implicit
   Value(bool v) : kind_(Kind::Bool), bool_(v) {}                     // NOLINT implicit
   Value(int v) : kind_(Kind::Int), int_(v) {}                        // NOLINT implicit
   Value(std::int64_t v) : kind_(Kind::Int), int_(v) {}               // NOLINT implicit
-  Value(std::uint64_t v);  // stays exact up to int64 max     NOLINT implicit
+  Value(std::uint64_t v);  // Int up to INT64_MAX, UInt above   NOLINT implicit
   Value(double v) : kind_(Kind::Double), double_(v) {}               // NOLINT implicit
   Value(const char* v) : kind_(Kind::String), string_(v) {}          // NOLINT implicit
   Value(std::string v) : kind_(Kind::String), string_(std::move(v)) {}  // NOLINT
@@ -50,14 +57,15 @@ class Value {
   Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::Null; }
   bool is_bool() const { return kind_ == Kind::Bool; }
-  bool is_int() const { return kind_ == Kind::Int; }
-  bool is_number() const { return kind_ == Kind::Int || kind_ == Kind::Double; }
+  bool is_int() const { return kind_ == Kind::Int || kind_ == Kind::UInt; }
+  bool is_number() const { return is_int() || kind_ == Kind::Double; }
   bool is_string() const { return kind_ == Kind::String; }
   bool is_array() const { return kind_ == Kind::Array; }
   bool is_object() const { return kind_ == Kind::Object; }
 
-  /// Lenient readers: wrong-kind nodes yield the fallback, so decoders can
-  /// treat absent and mistyped fields uniformly.
+  /// Lenient readers: wrong-kind nodes, and numbers the result type cannot
+  /// represent, yield the fallback, so decoders can treat absent and
+  /// mistyped fields uniformly.
   bool as_bool(bool fallback = false) const;
   double as_double(double fallback = 0) const;
   std::int64_t as_int(std::int64_t fallback = 0) const;
@@ -87,7 +95,7 @@ class Value {
  private:
   Kind kind_;
   bool bool_ = false;
-  std::int64_t int_ = 0;
+  std::int64_t int_ = 0;  ///< Int value; UInt keeps its uint64 bits here
   double double_ = 0;
   std::string string_;
   Array array_;

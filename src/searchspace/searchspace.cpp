@@ -34,8 +34,56 @@ double SearchSpace::sparsity() const {
   return 1.0 - static_cast<double>(size()) / cart;
 }
 
+namespace {
+
+/// Seed of the row hash: a row's hash is mix64 folded over its value
+/// indices in parameter order, starting here.  Snapshot row tables are laid
+/// out by this hash, so it is part of the format.
+constexpr std::uint64_t kRowHashSeed = 0x51A2B3C4D5E6F708ULL;
+
+/// Rows decoded per column per step of the index build; a chunk of values
+/// and of row hashes stays in L1.
+constexpr std::size_t kChunk = 1024;
+/// Independent counter sets of the posting-list build.
+constexpr std::size_t kLanes = 4;
+/// Rows between a row-table home slot's prefetch and its insertion.
+constexpr std::size_t kPrefetchAhead = 16;
+
+/// Visit every row of `col` as body(lane, value, row).  The rows are split
+/// into kLanes contiguous stripes walked in lock step, so bodies that keep
+/// per-lane state run kLanes independent increment chains: backtracking
+/// emits its leading columns as long runs of one value, where a single
+/// counter makes every increment wait on the one before it.  Within a lane,
+/// rows arrive in ascending order.
+template <typename Body>
+void for_each_striped(const solver::PackedColumn& col, Body&& body) {
+  const std::size_t n = col.size();
+  const std::size_t stripe = (n + kLanes - 1) / kLanes;
+  std::uint32_t values[kLanes][kChunk];
+  for (std::size_t pos = 0; pos < stripe; pos += kChunk) {
+    std::size_t first[kLanes], len[kLanes];
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      first[k] = std::min(n, k * stripe + pos);
+      const std::size_t end = std::min(n, (k + 1) * stripe);
+      len[k] = std::min(kChunk, end - std::min(end, first[k]));
+      col.decode(first[k], len[k], values[k]);
+    }
+    // Stripe lengths never grow with the lane index: all lanes run up to the
+    // last one's length, then the longer ones finish alone.
+    const std::size_t common = len[kLanes - 1];
+    for (std::size_t i = 0; i < common; ++i) {
+      for (std::size_t k = 0; k < kLanes; ++k) body(k, values[k][i], first[k] + i);
+    }
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      for (std::size_t i = common; i < len[k]; ++i) body(k, values[k][i], first[k] + i);
+    }
+  }
+}
+
+}  // namespace
+
 std::uint64_t SearchSpace::row_hash(const std::uint32_t* row) const {
-  std::uint64_t h = 0x51A2B3C4D5E6F708ULL;
+  std::uint64_t h = kRowHashSeed;
   for (std::size_t p = 0; p < num_params(); ++p) h = util::mix64(h, row[p]);
   return h;
 }
@@ -62,42 +110,68 @@ void SearchSpace::build_indexes() {
   }
   posting_offsets_store_.assign(total_offsets, 0);
   posting_rows_store_.resize(n * d);
-  std::vector<std::uint64_t> cursor;
+  std::vector<std::uint64_t> lane_slots;  // kLanes x m counts, then cursors
   for (std::size_t p = 0; p < d; ++p) {
     const auto& col = solutions_.column(p);
     const std::size_t base = posting_base_[p];
     const std::size_t m = problem_.domain(p).size();
-    // Count occurrences, then prefix-sum into global row positions starting
-    // at parameter p's region base p * n.
-    for (std::size_t r = 0; r < n; ++r) {
-      ++posting_offsets_store_[base + col.get(r) + 1];
-    }
-    posting_offsets_store_[base] = static_cast<std::uint64_t>(p) * n;
+    lane_slots.assign(kLanes * m, 0);
+    for_each_striped(col, [&](std::size_t lane, std::uint32_t vi, std::size_t) {
+      ++lane_slots[lane * m + vi];
+    });
+    // Prefix-sum the counts into global row positions starting at parameter
+    // p's region base p * n.  Stripes are contiguous and in row order, so
+    // value vi's list holds stripe 0's rows, then stripe 1's, ...: every
+    // lane's cursor starts where the lanes before it end, and each posting
+    // list comes out sorted by row id.
+    std::uint64_t next = static_cast<std::uint64_t>(p) * n;
     for (std::size_t vi = 0; vi < m; ++vi) {
-      posting_offsets_store_[base + vi + 1] += posting_offsets_store_[base + vi];
+      posting_offsets_store_[base + vi] = next;
+      for (std::size_t lane = 0; lane < kLanes; ++lane) {
+        const std::uint64_t count = lane_slots[lane * m + vi];
+        lane_slots[lane * m + vi] = next;
+        next += count;
+      }
     }
-    // Fill rows ascending so each posting list is sorted by row id.
-    cursor.assign(posting_offsets_store_.begin() + static_cast<std::ptrdiff_t>(base),
-                  posting_offsets_store_.begin() + static_cast<std::ptrdiff_t>(base + m));
-    for (std::size_t r = 0; r < n; ++r) {
-      posting_rows_store_[cursor[col.get(r)]++] = static_cast<std::uint32_t>(r);
-    }
+    posting_offsets_store_[base + m] = next;
+    std::uint32_t* rows = posting_rows_store_.data();
+    for_each_striped(col, [&](std::size_t lane, std::uint32_t vi, std::size_t r) {
+      rows[lane_slots[lane * m + vi]++] = static_cast<std::uint32_t>(r);
+    });
   }
   posting_offsets_ = posting_offsets_store_;
   posting_rows_ = posting_rows_store_;
   derive_present_values();
 
-  // --- Row-lookup table (insertion in row order is deterministic).
+  // --- Row-lookup table: rows inserted in ascending order, so the layout is
+  // deterministic.  Each chunk's hashes are folded column by column (the
+  // same mix64 steps in the same order as row_hash), which keeps a chunk of
+  // independent hash chains in flight instead of one chain per row.
   const std::size_t table_size =
       std::bit_ceil(std::max<std::size_t>(16, n * 2));
   hash_table_store_.assign(table_size, kEmptySlot);
+  std::uint32_t* table = hash_table_store_.data();
   const std::size_t tmask = table_size - 1;
-  std::vector<std::uint32_t> row(d);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t p = 0; p < d; ++p) row[p] = solutions_.value_index(r, p);
-    std::size_t i = static_cast<std::size_t>(row_hash(row.data())) & tmask;
-    while (hash_table_store_[i] != kEmptySlot) i = (i + 1) & tmask;
-    hash_table_store_[i] = static_cast<std::uint32_t>(r);
+  std::uint64_t hashes[kChunk];
+  std::uint32_t values[kChunk];
+  for (std::size_t r0 = 0; r0 < n; r0 += kChunk) {
+    const std::size_t len = std::min(kChunk, n - r0);
+    std::fill_n(hashes, len, kRowHashSeed);
+    for (std::size_t p = 0; p < d; ++p) {
+      solutions_.column(p).decode(r0, len, values);
+      for (std::size_t i = 0; i < len; ++i) hashes[i] = util::mix64(hashes[i], values[i]);
+    }
+    for (std::size_t i = 0; i < std::min(kPrefetchAhead, len); ++i) {
+      __builtin_prefetch(table + (hashes[i] & tmask), 1);
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      if (i + kPrefetchAhead < len) {
+        __builtin_prefetch(table + (hashes[i + kPrefetchAhead] & tmask), 1);
+      }
+      std::size_t slot = static_cast<std::size_t>(hashes[i]) & tmask;
+      while (table[slot] != kEmptySlot) slot = (slot + 1) & tmask;
+      table[slot] = static_cast<std::uint32_t>(r0 + i);
+    }
   }
   hash_table_ = hash_table_store_;
 }

@@ -40,6 +40,7 @@ SolveResult BlockingEnumerator::solve(csp::Problem& problem) const {
   std::vector<std::vector<std::uint32_t>> blocking_clauses;
 
   std::uint64_t nodes = 0, checks = 0, clause_checks = 0;
+  RowBlock block(result.solutions);
   std::size_t p = 0;
   while (true) {
     const csp::Domain& dom = problem.domain(p);
@@ -72,7 +73,7 @@ SolveResult BlockingEnumerator::solve(csp::Problem& problem) const {
           }
         }
         if (!blocked) {
-          result.solutions.append(model.data());
+          block.push(model.data());
           blocking_clauses.push_back(std::move(model));
         }
         ++idx[p];
@@ -89,6 +90,7 @@ SolveResult BlockingEnumerator::solve(csp::Problem& problem) const {
     --p;
     ++idx[p];
   }
+  block.flush();
 
   result.stats.nodes = nodes;
   result.stats.constraint_checks = checks + clause_checks;

@@ -32,6 +32,7 @@ SolveResult BruteForce::solve(csp::Problem& problem) const {
   }
 
   std::uint64_t nodes = 0, checks = 0;
+  RowBlock block(result.solutions);
   for (;;) {
     ++nodes;
     bool ok = true;
@@ -42,7 +43,7 @@ SolveResult BruteForce::solve(csp::Problem& problem) const {
         break;
       }
     }
-    if (ok) result.solutions.append(idx.data());
+    if (ok) block.push(idx.data());
 
     // Advance the odometer (last variable fastest).
     std::size_t v = n;
@@ -55,6 +56,7 @@ SolveResult BruteForce::solve(csp::Problem& problem) const {
       idx[v] = 0;
       values[v] = problem.domain(v)[0];
       if (v == 0) {
+        block.flush();
         result.stats.nodes = nodes;
         result.stats.constraint_checks = checks;
         result.stats.search_seconds = timer.seconds();

@@ -364,11 +364,13 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
         r /= groups[g].combos.size();
       }
       std::vector<std::uint32_t> row(n);
+      RowBlock block(chunk_sets[c]);
       for (std::uint64_t i = lo; i < hi; ++i) {
         compose(pick, row);
-        chunk_sets[c].append(row.data());
+        block.push(row.data());
         advance(pick);
       }
+      block.flush();
     });
     result.stats.parallel_tasks += num_chunks;
     result.stats.parallel_workers =
@@ -379,6 +381,7 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     BuildCtx py_ctx(0);  // pyATF per-solution dictionary sink
     std::vector<std::size_t> pick(groups.size(), 0);
     std::vector<std::uint32_t> row(n);
+    RowBlock block(result.solutions);
     for (std::uint64_t i = 0; i < total; ++i) {
       compose(pick, row);
       if (interpreter_overhead_) {
@@ -389,9 +392,10 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
         }
         py_ctx.py_config = std::move(solution_config);
       }
-      result.solutions.append(row.data());
+      block.push(row.data());
       advance(pick);
     }
+    block.flush();
   }
   result.stats.nodes = nodes;
   result.stats.constraint_checks = checks;

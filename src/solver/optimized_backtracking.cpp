@@ -18,7 +18,9 @@ SolveResult OptimizedBacktracking::solve(csp::Problem& problem) const {
 
   timer.reset();
   detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
-  while (engine.next()) result.solutions.append(engine.row().data());
+  RowBlock block(result.solutions);
+  while (engine.next()) block.push(engine.row().data());
+  block.flush();
   result.stats.nodes = engine.nodes();
   result.stats.constraint_checks = engine.constraint_checks();
   result.stats.fast_checks = engine.fast_checks();

@@ -24,7 +24,7 @@ struct SearchState {
   std::vector<std::vector<const Constraint*>> var_constraints;
   std::vector<std::size_t> constraint_count;
   std::vector<std::uint32_t> row;
-  SolutionSet* out = nullptr;
+  RowBlock* out = nullptr;
   SolveStats* stats = nullptr;
 };
 
@@ -46,7 +46,7 @@ void search(SearchState& st) {
       st.row[v] = static_cast<std::uint32_t>(
           problem.domain(v).index_of(st.values[v]));
     }
-    st.out->append(st.row.data());
+    st.out->push(st.row.data());
     return;
   }
   std::sort(candidates.begin(), candidates.end(), [&](std::size_t a, std::size_t b) {
@@ -113,10 +113,12 @@ SolveResult OriginalBacktracking::solve(csp::Problem& problem) const {
       st.constraint_count[idx]++;
     }
   }
-  st.out = &result.solutions;
+  RowBlock block(result.solutions);
+  st.out = &block;
   st.stats = &result.stats;
   if (!unsatisfiable_constant && n > 0) {
     search(st);
+    block.flush();
   } else if (!unsatisfiable_constant && n == 0) {
     // Zero-variable problem with satisfiable constraints: empty solution.
   }

@@ -53,6 +53,66 @@ void PackedColumn::push_back(std::uint32_t v) {
   ++size_;
 }
 
+void PackedColumn::decode(std::size_t begin, std::size_t count,
+                          std::uint32_t* out) const {
+  assert(begin + count <= size_);
+  if (bits_ == 0) {
+    std::fill_n(out, count, 0u);
+    return;
+  }
+  if (count == 0) return;
+  const std::uint64_t bit = static_cast<std::uint64_t>(begin) * bits_;
+  const std::uint64_t* w = data() + (bit >> 6);
+  unsigned off = static_cast<unsigned>(bit & 63);  // bits of *w already read
+  std::uint64_t cur = *w;
+  for (std::size_t i = 0; i < count; ++i) {
+    // Step to the next word only once an entry needs it, so the read never
+    // runs past the last word.
+    if (off == 64) {
+      cur = *++w;
+      off = 0;
+    }
+    std::uint64_t v = cur >> off;
+    off += bits_;
+    if (off > 64) {
+      cur = *++w;
+      off -= 64;
+      v |= cur << (bits_ - off);
+    }
+    out[i] = static_cast<std::uint32_t>(v & mask_);
+  }
+}
+
+void PackedColumn::append_strided(const std::uint32_t* values, std::size_t count,
+                                  std::size_t stride) {
+  if (count == 0) return;
+  if (borrowed_) detach();
+  if (bits_ == 0) {
+    size_ += count;
+    return;
+  }
+  const std::size_t need = words_needed(size_ + count);
+  if (need > owned_.size()) grow_to_words(need);
+  const std::uint64_t bit = static_cast<std::uint64_t>(size_) * bits_;
+  std::uint64_t* w = owned_.data() + (bit >> 6);
+  unsigned fill = static_cast<unsigned>(bit & 63);
+  std::uint64_t acc = *w;  // the partly filled last word; its free bits are 0
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t v = values[i * stride];
+    assert((v & ~static_cast<std::uint64_t>(mask_)) == 0 &&
+           "value exceeds column width");
+    acc |= v << fill;
+    fill += bits_;
+    if (fill >= 64) {
+      *w++ = acc;
+      fill -= 64;
+      acc = v >> (bits_ - fill);  // the bits that spilled over; 0 if none
+    }
+  }
+  if (fill > 0) *w = acc;
+  size_ += count;
+}
+
 void PackedColumn::append_bits(const std::uint64_t* src, std::uint64_t src_bit,
                                std::uint64_t nbits) {
   std::uint64_t dst_bit = static_cast<std::uint64_t>(size_) * bits_;

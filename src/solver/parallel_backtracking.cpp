@@ -59,7 +59,9 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   if (n == 1) {
     // No prefix to split on: a single-variable search is one flat scan.
     detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
-    while (engine.next()) result.solutions.append(engine.row().data());
+    RowBlock block(result.solutions);
+    while (engine.next()) block.push(engine.row().data());
+    block.flush();
     result.stats.nodes = engine.nodes();
     result.stats.constraint_checks = engine.constraint_checks();
     result.stats.fast_checks = engine.fast_checks();
@@ -139,7 +141,9 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     detail::BacktrackingEngine engine(
         plan, detail::BacktrackingEngine::PrefixSeed{&prefixes[task * depth], depth});
     const std::size_t begin = shard.solutions.size();
-    while (engine.next()) shard.solutions.append(engine.row().data());
+    RowBlock block(shard.solutions);
+    while (engine.next()) block.push(engine.row().data());
+    block.flush();
     shard.segments.push_back(Segment{task, static_cast<std::uint32_t>(w), begin,
                                      shard.solutions.size() - begin});
     shard.nodes += engine.nodes();

@@ -295,6 +295,8 @@ csp::Value csp_value_from_json(const Value& value) {
   switch (value.kind()) {
     case Value::Kind::Bool: return csp::Value(value.as_bool());
     case Value::Kind::Int: return csp::Value(value.as_int());
+    // Integers beyond int64 have no csp::Value integer; they stay reals.
+    case Value::Kind::UInt:
     case Value::Kind::Double: return csp::Value(value.as_double());
     case Value::Kind::String: return csp::Value(value.as_string());
     default:

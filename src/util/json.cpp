@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 
 #include "tunespace/tuner/api.hpp"
 
@@ -69,7 +68,7 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Value document() {
-    Value value = parse_value();
+    Value value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
     return value;
@@ -100,12 +99,16 @@ class Parser {
     return true;
   }
 
-  Value parse_value() {
+  /// `depth` counts the arrays and objects enclosing this value.
+  Value parse_value(std::size_t depth) {
     skip_ws();
     const char c = peek();
+    if ((c == '{' || c == '[') && depth >= Value::kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(Value::kMaxDepth) + " levels");
+    }
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return Value(parse_string());
       case 't':
         if (consume_literal("true")) return Value(true);
@@ -120,7 +123,7 @@ class Parser {
     }
   }
 
-  Value parse_object() {
+  Value parse_object(std::size_t depth) {
     expect('{');
     Object members;
     skip_ws();
@@ -133,7 +136,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      members.emplace_back(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -144,7 +147,7 @@ class Parser {
     }
   }
 
-  Value parse_array() {
+  Value parse_array(std::size_t depth) {
     expect('[');
     Array items;
     skip_ws();
@@ -153,7 +156,7 @@ class Parser {
       return Value(std::move(items));
     }
     while (true) {
-      items.push_back(parse_value());
+      items.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -243,7 +246,13 @@ class Parser {
       if (ec == std::errc() && ptr == token.data() + token.size()) {
         return Value(value);
       }
-      // Out of int64 range: fall through to double.
+      std::uint64_t big = 0;
+      const auto [uptr, uec] =
+          std::from_chars(token.data(), token.data() + token.size(), big);
+      if (uec == std::errc() && uptr == token.data() + token.size()) {
+        return Value(big);
+      }
+      // Out of int64 and uint64 range: fall through to double.
     }
     double value = 0;
     const auto [ptr, ec] =
@@ -258,14 +267,8 @@ class Parser {
 
 }  // namespace
 
-Value::Value(std::uint64_t v) {
-  if (v <= static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
-    kind_ = Kind::Int;
-    int_ = static_cast<std::int64_t>(v);
-  } else {
-    kind_ = Kind::Double;
-    double_ = static_cast<double>(v);
-  }
+Value::Value(std::uint64_t v) : kind_(Kind::Int), int_(static_cast<std::int64_t>(v)) {
+  if (int_ < 0) kind_ = Kind::UInt;  // v is above INT64_MAX
 }
 
 bool Value::as_bool(bool fallback) const {
@@ -274,13 +277,18 @@ bool Value::as_bool(bool fallback) const {
 
 double Value::as_double(double fallback) const {
   if (kind_ == Kind::Int) return static_cast<double>(int_);
+  if (kind_ == Kind::UInt) return static_cast<double>(static_cast<std::uint64_t>(int_));
   if (kind_ == Kind::Double) return double_;
   return fallback;
 }
 
+// Doubles convert only inside the target's range (NaN fails both bounds):
+// casting anything else is undefined behaviour.
 std::int64_t Value::as_int(std::int64_t fallback) const {
   if (kind_ == Kind::Int) return int_;
-  if (kind_ == Kind::Double) return static_cast<std::int64_t>(double_);
+  if (kind_ == Kind::Double && double_ >= -0x1p63 && double_ < 0x1p63) {
+    return static_cast<std::int64_t>(double_);
+  }
   return fallback;
 }
 
@@ -288,8 +296,9 @@ std::uint64_t Value::as_uint(std::uint64_t fallback) const {
   if (kind_ == Kind::Int) {
     return int_ < 0 ? fallback : static_cast<std::uint64_t>(int_);
   }
-  if (kind_ == Kind::Double) {
-    return double_ < 0 ? fallback : static_cast<std::uint64_t>(double_);
+  if (kind_ == Kind::UInt) return static_cast<std::uint64_t>(int_);
+  if (kind_ == Kind::Double && double_ >= 0 && double_ < 0x1p64) {
+    return static_cast<std::uint64_t>(double_);
   }
   return fallback;
 }
@@ -347,6 +356,13 @@ std::string Value::dump() const {
     case Kind::Int: {
       char buf[32];
       std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(int_));
+      out = buf;
+      break;
+    }
+    case Kind::UInt: {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%llu",
+                    static_cast<unsigned long long>(static_cast<std::uint64_t>(int_)));
       out = buf;
       break;
     }

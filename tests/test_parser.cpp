@@ -12,6 +12,15 @@ void expect_roundtrip(const std::string& src) {
   const AstPtr b = parse(a->to_string());
   EXPECT_TRUE(a->equals(*b)) << src << " -> " << a->to_string();
 }
+
+/// `n` copies of `open`, then "x", then `n` copies of `close`.
+std::string nested(const std::string& open, std::size_t n, const std::string& close) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += open;
+  out += "x";
+  for (std::size_t i = 0; i < n; ++i) out += close;
+  return out;
+}
 }  // namespace
 
 TEST(Parser, Precedence) {
@@ -108,6 +117,18 @@ TEST(Parser, Errors) {
   EXPECT_THROW(parse("(a"), SyntaxError);
   EXPECT_THROW(parse("f(a,"), SyntaxError);
   EXPECT_THROW(parse("p[3]"), SyntaxError);  // subscript must be a string
+}
+
+TEST(Parser, NestingIsCappedWithASyntaxError) {
+  // Exactly at the cap still parses.
+  EXPECT_NO_THROW(parse(nested("(", kMaxParseDepth, ")")));
+  EXPECT_NO_THROW(parse(nested("f(", kMaxParseDepth, ")")));
+  EXPECT_THROW(parse(nested("(", kMaxParseDepth + 1, ")")), SyntaxError);
+  // 100k levels used to overflow the stack; now each shape is rejected
+  // (unclosed, so a missing cap would also recurse all the way down).
+  for (const char* open : {"(", "[", "f(", "not ", "-", "+", "2 ** ", "1 if 1 else "}) {
+    EXPECT_THROW(parse(nested(open, 100000, "")), SyntaxError) << open;
+  }
 }
 
 TEST(Parser, RoundTrips) {

@@ -1,7 +1,7 @@
 // Hardening tests for the wire front end: errno classification in the net
 // layer (transient accept/connect failures), protocol abuse against a live
 // epoll server (oversized length prefixes, truncated frames, cross-protocol
-// garbage), fd-exhaustion recovery (EMFILE injection via RLIMIT_NOFILE),
+// garbage, nesting bombs), fd-exhaustion recovery (EMFILE injection via RLIMIT_NOFILE),
 // close-event connection reclamation, and the HTTP/1.1 gateway (parser
 // unit tests plus a full scripted session over POST /v1/{op} checked
 // bit-identical against the in-process replay).
@@ -288,6 +288,49 @@ TEST(Hardening, FrameBytesOnTheHttpPortDoNotWedgeTheServer) {
   EXPECT_EQ(status, 200);
   EXPECT_TRUE(reply.at("pong").as_bool());
   net::close_fd(good);
+}
+
+// --- nesting bombs ----------------------------------------------------------
+
+TEST(Hardening, DeeplyNestedJsonGetsATypedErrorOnBothPorts) {
+  tuner::ServiceServerOptions options;
+  options.enable_http = true;
+  LiveServer live(options);
+  // 100k nested arrays overflowed the stack of the recursive JSON parser,
+  // killing the server and every session in it.
+  const std::string bomb(100000, '[');
+
+  // Frame port: a protocol-error envelope, and the connection keeps serving.
+  const int fd = raw_connect(live.server.port());
+  net::FdStream stream(fd);
+  wire::write_frame(stream, "{\"op\":\"ping\",\"pad\":" + bomb);
+  auto reply = wire::read_frame(stream);
+  ASSERT_TRUE(reply.has_value());
+  const json::Value error = json::Value::parse(*reply);
+  EXPECT_FALSE(error.at("ok").as_bool(true));
+  EXPECT_EQ(error.at("error").at("code").as_string(), "protocol");
+  wire::write_frame(stream, wire::encode_request("ping", json::Value::object()));
+  reply = wire::read_frame(stream);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_TRUE(json::Value::parse(*reply).at("pong").as_bool());
+  net::close_fd(fd);
+
+  // HTTP port: 400 with the protocol code on a connection that stays up.
+  const int http = raw_connect(live.server.http_port());
+  int status = 0;
+  json::Value body;
+  ASSERT_TRUE(http_post(http, "ping", bomb, status, body));
+  EXPECT_EQ(status, 400);
+  EXPECT_EQ(body.at("error").at("code").as_string(), "protocol");
+  ASSERT_TRUE(http_post(http, "ping", "{}", status, body));
+  EXPECT_EQ(status, 200);
+  EXPECT_TRUE(body.at("pong").as_bool());
+  net::close_fd(http);
+
+  tuner::ServiceClientOptions client_options;
+  client_options.port = live.server.port();
+  tuner::ServiceClient client(client_options);
+  EXPECT_TRUE(client.ping());
 }
 
 // --- fd exhaustion ----------------------------------------------------------

@@ -1,13 +1,19 @@
-// Snapshot persistence: packed-column property tests, save/load round-trip
+// Snapshot persistence: packed-column property tests (bulk decode and block
+// append against get/push_back), pinned section checksums, save/load round-trip
 // equality across synthetic and real-world spaces (rows, indexes, neighbour
 // and sampling queries, CSV bytes), rejection paths for corrupt / truncated /
 // mismatched files, and the load_or_build construction cache.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <memory>
 #include <sstream>
+
+#include "support/spec_gen.hpp"
 
 #include "tunespace/searchspace/io.hpp"
 #include "tunespace/searchspace/neighbors.hpp"
@@ -103,6 +109,61 @@ void expect_identical(const searchspace::SearchSpace& fresh,
   EXPECT_EQ(fresh.solve_stats().nodes, loaded.solve_stats().nodes);
   EXPECT_EQ(fresh.solve_stats().constraint_checks,
             loaded.solve_stats().constraint_checks);
+}
+
+/// `count` random values that fit in `bits` bits.
+std::vector<std::uint32_t> random_values(unsigned bits, std::size_t count,
+                                         std::uint64_t seed) {
+  util::Rng rng(seed);
+  const std::uint64_t mask = bits >= 32 ? 0xFFFFFFFFull : (1ull << bits) - 1;
+  std::vector<std::uint32_t> out(count);
+  for (auto& v : out) v = static_cast<std::uint32_t>(rng() & mask);
+  return out;
+}
+
+/// The reference column: `values` appended one push_back at a time.
+solver::PackedColumn pushed(unsigned bits, const std::vector<std::uint32_t>& values) {
+  solver::PackedColumn col(bits);
+  for (std::uint32_t v : values) col.push_back(v);
+  return col;
+}
+
+bool same_words(const solver::PackedColumn& a, const solver::PackedColumn& b) {
+  return a.size() == b.size() && a.word_count() == b.word_count() &&
+         std::equal(a.words(), a.words() + a.word_count(), b.words());
+}
+
+/// A zero-copy column over a private copy of `col`'s words, as the snapshot
+/// loader builds them; `words` receives the borrowed buffer.
+solver::PackedColumn borrowed_copy(const solver::PackedColumn& col,
+                                   std::shared_ptr<std::vector<std::uint64_t>>& words) {
+  const std::uint64_t* first = col.words();
+  words = std::make_shared<std::vector<std::uint64_t>>(first, first + col.word_count());
+  return solver::PackedColumn::borrowed(col.bits(), col.size(), words->data(), words);
+}
+
+/// The four section checksums of a saved snapshot as space-separated hex
+/// words, read from its section table (format version 1: a 112-byte header,
+/// then four 32-byte entries {id u32, reserved u32, offset u64, size u64,
+/// checksum u64}).
+std::string section_checksums(const std::string& file) {
+  constexpr std::size_t kHeaderBytes = 112;
+  constexpr std::size_t kSectionEntryBytes = 32;
+  constexpr std::size_t kChecksumOffset = 24;
+  std::ifstream is(file, std::ios::binary);
+  std::stringstream ss;
+  ss << is.rdbuf();
+  const std::string bytes = ss.str();
+  std::ostringstream text;
+  text << std::hex << std::setfill('0');
+  for (std::size_t s = 0; s < 4; ++s) {
+    const std::size_t at = kHeaderBytes + s * kSectionEntryBytes + kChecksumOffset;
+    if (bytes.size() < at + sizeof(std::uint64_t)) return "truncated";
+    std::uint64_t sum = 0;
+    std::memcpy(&sum, bytes.data() + at, sizeof sum);
+    text << (s == 0 ? "" : " ") << std::setw(16) << sum;
+  }
+  return text.str();
 }
 
 void corrupt_byte(const std::string& file, std::uint64_t offset) {
@@ -207,6 +268,106 @@ TEST_F(PackedColumnTest, SolutionSetPackedMatchesUnpacked) {
   EXPECT_LT(packed.memory_bytes(), unpacked.memory_bytes());
 }
 
+TEST_F(PackedColumnTest, BulkDecodeMatchesGetForEveryWidth) {
+  for (unsigned bits = 0; bits <= 32; ++bits) {
+    // 640 entries end exactly on a word boundary at every width; 700 leave
+    // the final word partly filled at most widths.
+    for (std::size_t size : {640u, 700u}) {
+      SCOPED_TRACE(testing::Message() << bits << " bits, " << size << " entries");
+      const auto col = pushed(bits, random_values(bits, size, 1000 * bits + size));
+      const auto expect_window = [&](std::size_t begin, std::size_t count) {
+        std::vector<std::uint32_t> decoded(count), expected(count);
+        col.decode(begin, count, decoded.data());
+        for (std::size_t i = 0; i < count; ++i) expected[i] = col.get(begin + i);
+        EXPECT_EQ(decoded, expected) << "window at " << begin;
+      };
+      expect_window(0, size);
+      for (std::size_t begin : {1u, 63u, 64u, 65u, 333u}) expect_window(begin, 97);
+      // Windows ending on the last entries of the final word.
+      for (std::size_t tail = 0; tail <= 70; ++tail) expect_window(size - tail, tail);
+    }
+  }
+}
+
+TEST_F(PackedColumnTest, BulkDecodeWorksOnBorrowedColumns) {
+  for (unsigned bits : {1u, 3u, 13u, 32u}) {
+    SCOPED_TRACE(testing::Message() << bits << " bits");
+    const auto owned = pushed(bits, random_values(bits, 500, bits + 5));
+    std::shared_ptr<std::vector<std::uint64_t>> words;
+    const auto col = borrowed_copy(owned, words);
+    ASSERT_TRUE(col.is_borrowed());
+    for (std::size_t begin : {0u, 457u}) {
+      const std::size_t count = owned.size() - begin;
+      std::vector<std::uint32_t> decoded(count), expected(count);
+      col.decode(begin, count, decoded.data());
+      for (std::size_t i = 0; i < count; ++i) expected[i] = owned.get(begin + i);
+      EXPECT_EQ(decoded, expected) << "window at " << begin;
+    }
+  }
+}
+
+TEST_F(PackedColumnTest, BlockAppendMatchesPushBackWordForWord) {
+  constexpr std::size_t kStride = 3;
+  for (unsigned bits = 0; bits <= 32; ++bits) {
+    const auto values = random_values(bits, 900, 77 + bits);
+    // The values are column 1 of a row-major block of kStride columns; the
+    // other slots hold bits no column may pick up.
+    std::vector<std::uint32_t> block(values.size() * kStride, 0xFFFFFFFFu);
+    for (std::size_t i = 0; i < values.size(); ++i) block[i * kStride + 1] = values[i];
+
+    // Start inside a partly filled word, then append blocks of mixed sizes.
+    std::size_t next = 5;
+    solver::PackedColumn col = pushed(bits, {values.begin(), values.begin() + next});
+    solver::PackedColumn ref = col;
+    for (std::size_t count : {1u, 2u, 61u, 64u, 100u, 333u}) {
+      col.append_strided(block.data() + next * kStride + 1, count, kStride);
+      for (std::size_t i = 0; i < count; ++i) ref.push_back(values[next + i]);
+      next += count;
+      ASSERT_TRUE(same_words(col, ref)) << "bits=" << bits << " rows=" << next;
+    }
+  }
+}
+
+TEST_F(PackedColumnTest, BlockAppendOntoBorrowedColumnDetachesFirst) {
+  for (unsigned bits : {1u, 5u, 17u, 32u}) {
+    const auto values = random_values(bits, 300, 900 + bits);
+    constexpr std::size_t kHead = 123;  // leaves the last borrowed word partly filled
+    const auto head = pushed(bits, {values.begin(), values.begin() + kHead});
+    std::shared_ptr<std::vector<std::uint64_t>> words;
+    auto col = borrowed_copy(head, words);
+    const std::vector<std::uint64_t> before = *words;
+    col.append_strided(values.data() + kHead, values.size() - kHead, 1);
+    EXPECT_FALSE(col.is_borrowed()) << "bits=" << bits;
+    EXPECT_EQ(*words, before) << "the borrowed buffer was written, bits=" << bits;
+    EXPECT_TRUE(same_words(col, pushed(bits, values))) << "bits=" << bits;
+  }
+}
+
+TEST_F(PackedColumnTest, RowBlockMatchesPerValuePushBack) {
+  const auto spec = tiny_spec();
+  auto problem = tuner::build_problem(spec, tuner::PipelineOptions::optimized());
+  solver::SolutionSet blocked(problem);
+  std::vector<solver::PackedColumn> ref;
+  for (std::size_t v = 0; v < blocked.num_vars(); ++v) {
+    ref.emplace_back(blocked.column(v).bits());
+  }
+  solver::RowBlock block(blocked);
+  util::Rng rng(11);
+  std::vector<std::uint32_t> row(problem.num_variables());
+  // More than two blocks' worth of rows, so push() flushes mid-stream.
+  for (std::size_t i = 0; i < 2 * solver::RowBlock::kRows + 37; ++i) {
+    for (std::size_t v = 0; v < row.size(); ++v) {
+      row[v] = static_cast<std::uint32_t>(rng.index(problem.domain(v).size()));
+      ref[v].push_back(row[v]);
+    }
+    block.push(row.data());
+  }
+  block.flush();
+  for (std::size_t v = 0; v < ref.size(); ++v) {
+    EXPECT_TRUE(same_words(blocked.column(v), ref[v])) << "var " << v;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot round trips
 // ---------------------------------------------------------------------------
@@ -279,6 +440,25 @@ TEST_F(SnapshotTest, SaveOfReloadedSpaceIsByteIdentical) {
     bytes_b[kConstructionSecondsOffset + i] = 0;
   }
   EXPECT_EQ(bytes_a, bytes_b);
+}
+
+TEST_F(SnapshotTest, SectionChecksumsArePinned) {
+  // The columns, row table and posting lists are laid out by the packing
+  // order, the fixed mix64 row hash with ascending-row insertion, and
+  // ascending posting lists.  These checksums (in section order: domains,
+  // columns, row table, postings) were recorded with the row-at-a-time store
+  // and index build; a build path that moves any of them changes snapshot
+  // bytes and needs a kSnapshotFormatVersion bump.  The header's timing
+  // fields lie outside every section.
+  const searchspace::SearchSpace gemm(spaces::gemm().spec);
+  searchspace::save_snapshot(gemm, path("gemm.tss"));
+  EXPECT_EQ(section_checksums(path("gemm.tss")),
+            "0b8af73d7d5c9c68 aafee37b42583d0f efd8dff55104e957 890c246a37503d0f");
+
+  const searchspace::SearchSpace generated(testsupport::random_spec(60));
+  searchspace::save_snapshot(generated, path("spec_gen-60.tss"));
+  EXPECT_EQ(section_checksums(path("spec_gen-60.tss")),
+            "e7e1fe799325c3e8 f817ece9a9193dc1 cf33e527f32f0945 b510678cc7f8b43a");
 }
 
 // ---------------------------------------------------------------------------

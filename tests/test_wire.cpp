@@ -5,6 +5,8 @@
 // service.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -50,6 +52,18 @@ class MemoryStream : public wire::ByteStream {
   std::string buffer_;
   std::size_t pos_ = 0;
 };
+
+/// A fixed open request whose integers all fit in int64 except where a test
+/// overrides the seed.
+tuner::OpenSessionRequest scripted_request() {
+  tuner::OpenSessionRequest request;
+  request.tenant = "team-a";
+  request.kernel = "gemm";
+  request.optimizer = "simulated-annealing";
+  request.budget_seconds = 42.5;
+  request.restrictions = {{"MWG", {csp::Value(32), csp::Value(-64)}}};
+  return request;
+}
 
 }  // namespace
 
@@ -99,6 +113,44 @@ TEST(Json, MalformedDocumentsThrowProtocolErrors) {
     EXPECT_EQ(code_of([&] { json::Value::parse(bad); }), ErrorCode::kProtocol)
         << "input: " << bad;
   }
+}
+
+TEST(Json, Uint64RoundTripsExactlyAboveInt64Max) {
+  const std::uint64_t two63 = std::uint64_t{1} << 63;
+  for (const std::uint64_t v : {two63, two63 + 1, UINT64_MAX - 15, UINT64_MAX}) {
+    const json::Value value(v);
+    EXPECT_TRUE(value.is_int());
+    EXPECT_EQ(value.kind(), json::Value::Kind::UInt);
+    EXPECT_EQ(value.dump(), std::to_string(v));
+    const auto parsed = json::Value::parse(value.dump());
+    EXPECT_EQ(parsed.kind(), json::Value::Kind::UInt);
+    EXPECT_EQ(parsed.as_uint(), v);
+    EXPECT_EQ(parsed.as_int(-1), -1) << "no int64 holds " << v;
+    EXPECT_EQ(parsed.dump(), value.dump());
+  }
+  // Past uint64 the number becomes a double, which as_uint cannot represent.
+  const auto beyond = json::Value::parse("18446744073709551616");
+  EXPECT_EQ(beyond.kind(), json::Value::Kind::Double);
+  EXPECT_EQ(beyond.as_uint(7), 7u);
+  EXPECT_EQ(beyond.as_int(7), 7);
+  EXPECT_EQ(json::Value(-1.0).as_uint(7), 7u);
+  EXPECT_EQ(json::Value(std::nan("")).as_uint(7), 7u);
+  EXPECT_EQ(json::Value(1e300).as_int(7), 7);
+  EXPECT_EQ(json::Value(4096.0).as_uint(), 4096u);
+}
+
+TEST(Json, NestingPastTheCapIsAProtocolError) {
+  const std::size_t cap = json::Value::kMaxDepth;
+  EXPECT_NO_THROW(json::Value::parse(std::string(cap, '[') + std::string(cap, ']')));
+  const std::string too_deep = std::string(cap + 1, '[') + std::string(cap + 1, ']');
+  EXPECT_EQ(code_of([&] { json::Value::parse(too_deep); }), ErrorCode::kProtocol);
+  // 100k levels used to overflow the stack; unclosed, so a missing cap would
+  // also recurse all the way down.
+  const std::string arrays(100000, '[');
+  EXPECT_EQ(code_of([&] { json::Value::parse(arrays); }), ErrorCode::kProtocol);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_EQ(code_of([&] { json::Value::parse(objects); }), ErrorCode::kProtocol);
 }
 
 TEST(Json, LenientReadersTolerateAbsentAndMistypedFields) {
@@ -210,6 +262,43 @@ TEST(Codec, OpenSessionRequestRoundTrips) {
   const auto decoded =
       wire::open_session_request_from_json(wire::to_json(request));
   EXPECT_EQ(decoded, request);
+}
+
+TEST(Codec, Uint64SeedsCrossTheWireExactly) {
+  // Seeds above INT64_MAX used to travel as doubles: 2^63 + 1 arrived as
+  // 2^63, and 2^64 - 16 arrived as 0.
+  const std::uint64_t two63 = std::uint64_t{1} << 63;
+  for (const std::uint64_t seed : {two63 + 1, UINT64_MAX - 15, UINT64_MAX}) {
+    tuner::OpenSessionRequest request = scripted_request();
+    request.seed = seed;
+    const auto wire_json = json::Value::parse(wire::to_json(request).dump());
+    const auto decoded = wire::open_session_request_from_json(wire_json);
+    EXPECT_EQ(decoded.seed, seed);
+    EXPECT_EQ(decoded, request);
+  }
+}
+
+TEST(Codec, EnvelopesWithInt64IntegersKeepTheirBytes) {
+  tuner::OpenSessionRequest request = scripted_request();
+  request.seed = INT64_MAX;
+  const std::string open_bytes =
+      "{\"tenant\":\"team-a\",\"kernel\":\"gemm\",\"optimizer\":"
+      "\"simulated-annealing\",\"method\":\"\",\"seed\":9223372036854775807,"
+      "\"budget_seconds\":42.5,\"overhead_per_request\":0.0050000000000000001,"
+      "\"fixed_construction_seconds\":-1,\"construction_time_scale\":1,"
+      "\"restrictions\":{\"MWG\":[32,-64]}}";
+  EXPECT_EQ(wire::to_json(request).dump(), open_bytes);
+  EXPECT_EQ(json::Value::parse(open_bytes).dump(), open_bytes);
+  tuner::SuggestResponse suggest;
+  suggest.session_id = 77;
+  suggest.config_id = 123456789;
+  suggest.parent_row = 42;
+  suggest.evaluations = 3;
+  const std::string bytes =
+      "{\"session_id\":77,\"finished\":false,\"config_id\":123456789,"
+      "\"parent_row\":42,\"config\":{},\"now_seconds\":0,\"evaluations\":3}";
+  EXPECT_EQ(wire::to_json(suggest).dump(), bytes);
+  EXPECT_EQ(json::Value::parse(bytes).dump(), bytes);
 }
 
 TEST(Codec, ConfigsCrossTheWireInOrderWithExactValues) {
