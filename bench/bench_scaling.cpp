@@ -1,9 +1,10 @@
-// Strong-scaling benchmark of the work-stealing parallel engine, emitted as
-// BENCH_scaling.json (threads -> seconds/speedup per suite).
+// Strong-scaling benchmark of the parallel engine (ParallelBacktracking: one
+// task per valid assignment prefix, handed out from a shared cursor),
+// emitted as BENCH_scaling.json (threads -> seconds/speedup per suite).
 //
 // Suites: synthetic dense (1 constraint, enumeration-bound), synthetic
-// sparse (6 constraints, pruning-heavy and skew-prone — the work-stealing
-// showcase), and the GEMM / Hotspot real-world spaces.  Every parallel run
+// sparse (6 constraints, pruning-heavy and skew-prone: subtree sizes vary
+// widely between tasks), and the GEMM / Hotspot real-world spaces.  Every parallel run
 // is verified byte-identical to the sequential enumeration; a mismatch is a
 // hard failure regardless of flags.
 //
@@ -159,7 +160,7 @@ int main(int argc, char** argv) {
   };
   std::vector<SuiteReport> reports;
 
-  bench::section("Work-stealing parallel engine: strong scaling");
+  bench::section("Parallel engine: strong scaling");
   util::Table table({"suite", "threads", "time", "speedup", "identical"});
   for (const Suite& suite : suites) {
     // Sequential reference enumeration (also the determinism baseline).

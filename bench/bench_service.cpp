@@ -3,7 +3,7 @@
 // BENCH_service.json.
 //
 // Every session is replayed three ways with identical options — the plain
-// run_tuning closed loop, the in-process TuningService ask/tell surface, and
+// run_session closed loop, the in-process TuningService ask/tell surface, and
 // a TCP client against a loopback ServiceServer — and all three TuningRuns
 // must be *bit-identical*; an identity mismatch is a hard failure regardless
 // of flags.  The throughput numbers (service requests per second for both

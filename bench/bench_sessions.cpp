@@ -1,7 +1,7 @@
 // Concurrent multi-session runtime benchmark: aggregate throughput of N
 // overlapping same-spec tuning sessions under the SessionManager (shared
 // space + shared evaluation cache) versus the same N sessions as isolated
-// run_tuning calls, emitted as BENCH_sessions.json.
+// run_session calls, emitted as BENCH_sessions.json.
 //
 // Each case runs a rotation of the five optimizers with per-session seeds
 // and a fixed construction charge, so every session's TuningRun must be

@@ -8,7 +8,7 @@
 // space once, every session reuses it, and the lock-striped shared
 // evaluation cache lets overlapping sessions skip re-measuring
 // configurations another session already benchmarked — while each session's
-// result stays bit-identical to what an isolated run_tuning call would
+// result stays bit-identical to what an isolated run_session call would
 // produce.  The portfolio then races all five optimizers (seed-split from
 // one root seed) over the same space with a shared best-so-far and a stall
 // rule, which is the practical answer to "which optimizer should I use for
@@ -38,7 +38,7 @@ int main() {
     request.options.budget_seconds = 120.0;
     request.options.seed = seed;
     // Pin the construction charge: this (not sharing) is what makes a
-    // managed session bit-identical to an isolated run_tuning call —
+    // managed session bit-identical to an isolated run_session call —
     // measured construction latency is machine noise.
     request.options.fixed_construction_seconds = 5.0;
     requests.push_back(std::move(request));

@@ -26,14 +26,14 @@ int main() {
   std::cout << "(only " << it.count() << " solutions enumerated so far)\n\n";
 
   // --- 2. Parallel construction of the full space --------------------------
-  // The work-stealing engine splits the search tree at an assignment-prefix
-  // depth (auto-chosen here); solutions come back in the exact sequential
-  // enumeration order regardless of thread count or steal policy.
+  // The parallel engine splits the search tree at an assignment-prefix
+  // depth (auto-chosen here) and hands one task per valid prefix to its
+  // workers; solutions come back in the exact sequential enumeration order
+  // regardless of thread count or split depth.
   for (std::size_t threads : {1u, 4u}) {
     auto p = tuner::build_problem(rw.spec, tuner::PipelineOptions::optimized());
     solver::SolverOptions options;
     options.threads = threads;
-    options.steal = solver::StealPolicy::kRandom;  // or kSequential
     util::WallTimer timer;
     auto result = solver::ParallelBacktracking(options).solve(p);
     std::cout << threads << " thread(s): " << result.solutions.size()

@@ -8,7 +8,7 @@
 // evaluation cache, admission limits), suggest() hands out the next
 // configuration to measure, report() feeds the measurement back, close()
 // returns the final TuningRun summary.  Because the ask/tell stepper is
-// bit-identical to the closed run_tuning loop, a remote tuner — here a
+// bit-identical to the closed run_session loop, a remote tuner — here a
 // ServiceClient talking length-prefixed JSON to a ServiceServer on an
 // ephemeral loopback port — produces exactly the run an in-process call
 // would.  The embedded and the wire sessions below print the same best.

@@ -42,9 +42,9 @@ class SearchSpace {
   /// Construct from a spec with an explicit method (benchmarks use this).
   SearchSpace(const tuner::TuningProblem& spec, const tuner::Method& method);
 
-  /// Construct from a spec with the work-stealing parallel engine (full
-  /// pipeline + ParallelBacktracking).  The resolved space is byte-identical
-  /// to the sequential construction.
+  /// Construct from a spec with the parallel engine (full pipeline +
+  /// ParallelBacktracking).  The resolved space is byte-identical to the
+  /// sequential construction.
   SearchSpace(const tuner::TuningProblem& spec,
               const solver::SolverOptions& parallel);
 

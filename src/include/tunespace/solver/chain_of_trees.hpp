@@ -20,7 +20,8 @@
 //
 // The ATF-vs-pyATF performance split is modelled by the evaluation mode of
 // the constraints in the Problem (compiled specific constraints vs
-// interpreted Function constraints); see tuner/pipeline.hpp.
+// interpreted Function constraints); see tuner/pipeline.hpp.  Like the
+// originals it models, the construction is sequential.
 
 #include "tunespace/solver/solver.hpp"
 
@@ -47,23 +48,6 @@ class ChainOfTrees : public Solver {
   std::string name() const override { return name_; }
   SolveResult solve(csp::Problem& problem) const override;
 
-  /// Enable multi-threaded construction: per-root-subtree tree-build tasks
-  /// and chunked cross-product materialization, both distributed through the
-  /// work-stealing scheduler.  Off by default so the ATF/pyATF baseline
-  /// benchmarks keep modelling the sequential originals.  Ignored in
-  /// interpreter-overhead (pyATF) mode, whose per-node configuration
-  /// dictionary data flow is inherently sequential.  Solution order is
-  /// identical to the sequential construction, and so are the effort
-  /// counters for satisfiable chains; when some group is unsatisfiable the
-  /// sequential build stops early while the parallel build has already
-  /// visited the remaining groups, so counters may exceed the sequential
-  /// ones (the result is still identical: empty).
-  ChainOfTrees& set_parallel(SolverOptions options) {
-    parallel_ = options;
-    parallel_enabled_ = true;
-    return *this;
-  }
-
   /// Per-group statistics from the last tree build (exposed for tests and
   /// the ablation bench).
   struct GroupInfo {
@@ -79,8 +63,6 @@ class ChainOfTrees : public Solver {
  private:
   std::string name_;
   bool interpreter_overhead_;
-  SolverOptions parallel_;
-  bool parallel_enabled_ = false;
 };
 
 }  // namespace tunespace::solver

@@ -1,14 +1,12 @@
 #pragma once
-// ParallelBacktracking: work-stealing multi-threaded variant of the
-// optimized solver.
+// ParallelBacktracking: multi-threaded variant of the optimized solver.
 //
 // The search tree is split at a configurable prefix depth D: a sequential
 // *prefix expansion* enumerates every valid assignment of the first D search
 // positions (charging exactly the effort the sequential search spends on the
 // top D levels), and each valid prefix becomes one task — the subtree below
-// it.  Tasks are distributed over per-worker deques; idle workers steal the
-// back half of a victim's oldest task range, so skewed subtrees split
-// adaptively instead of serializing the tail (see work_stealing.hpp).
+// it.  Workers take tasks one at a time from a shared cursor, so a worker
+// that draws a large subtree never holds back the remaining ones.
 //
 // Every worker appends solutions into its own sharded SolutionSet (no shared
 // append lock) and records one (prefix-rank, begin, count) segment per task;
@@ -33,16 +31,13 @@ class ParallelBacktracking : public Solver {
     parallel_.threads = threads;
   }
 
-  /// Full control over threads, split depth and steal policy.
+  /// Full control over threads and split depth.
   explicit ParallelBacktracking(SolverOptions parallel,
                                 OptimizedOptions options = {})
       : parallel_(parallel), options_(options) {}
 
   std::string name() const override { return "optimized-parallel"; }
   SolveResult solve(csp::Problem& problem) const override;
-
-  std::size_t threads() const { return parallel_.threads; }
-  const SolverOptions& parallel_options() const { return parallel_; }
 
  private:
   SolverOptions parallel_;

@@ -32,36 +32,25 @@ struct SolveStats {
   std::uint64_t prunes = 0;             ///< rejections before full assignment
   std::uint64_t block_checks = 0;       ///< block-tier constraint dispatches
   std::uint64_t block_lanes = 0;        ///< candidate lanes covered by those dispatches
-  std::uint64_t parallel_tasks = 0;     ///< work-stealing tasks executed (0 = sequential)
+  std::uint64_t parallel_tasks = 0;     ///< prefix tasks executed (0 = sequential)
   std::uint32_t parallel_workers = 0;   ///< worker threads used (0 = sequential)
   double preprocess_seconds = 0.0;      ///< domain preprocessing time
   double search_seconds = 0.0;          ///< enumeration time
   double total_seconds() const { return preprocess_seconds + search_seconds; }
 };
 
-/// How an idle worker picks steal victims when its own deque runs dry.
-enum class StealPolicy {
-  kSequential,  ///< scan victims round-robin starting at worker id + 1
-  kRandom,      ///< per-worker deterministic xorshift victim order
-};
-
-/// Execution options shared by the parallel construction engines
-/// (ParallelBacktracking, parallel ChainOfTrees, SearchSpace).  Neither the
-/// solution order nor the effort counters depend on any of these knobs; they
-/// only steer how the deterministic result is computed.
+/// Execution options of the parallel construction engine
+/// (ParallelBacktracking, and SearchSpace / tuner::parallel_method on top of
+/// it).  Neither the solution order nor the effort counters depend on any
+/// of these knobs; they only steer how the deterministic result is computed.
 struct SolverOptions {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::size_t threads = 0;
   /// Assignment-prefix length used to split the search tree into tasks;
-  /// 0 = auto (grow until ~tasks_per_thread tasks per worker exist).
+  /// 0 = auto (grow until ~8 tasks per worker exist).
   std::size_t split_depth = 0;
-  /// Auto split-depth granularity target (tasks per worker).
-  std::size_t tasks_per_thread = 8;
-  /// Victim-selection policy for work stealing.
-  StealPolicy steal = StealPolicy::kRandom;
 
-  /// Worker count after applying the hardware-concurrency default (>= 1);
-  /// the single resolution point shared by every parallel engine.
+  /// Worker count after applying the hardware-concurrency default (>= 1).
   std::size_t resolve_threads() const {
     std::size_t workers = threads ? threads : std::thread::hardware_concurrency();
     return workers ? workers : 1;

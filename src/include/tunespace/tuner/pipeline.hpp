@@ -65,8 +65,8 @@ std::vector<Method> construction_methods(bool include_blocking = false);
 /// The default user-path method: full pipeline + OptimizedBacktracking.
 Method optimized_method();
 
-/// The optimized method on the work-stealing parallel engine (full pipeline
-/// + ParallelBacktracking).  Produces byte-identical results to the
+/// The optimized method on the parallel engine (full pipeline +
+/// ParallelBacktracking).  Produces byte-identical results to the
 /// "optimized" method; benches and the SearchSpace layer use it to scale
 /// construction across cores.
 Method parallel_method(const solver::SolverOptions& options = {});

@@ -7,7 +7,8 @@
 // best-configuration-so-far trajectory against the virtual clock, which is
 // exactly what Figs. 6 and 7 plot — including the effect that slow
 // construction methods burn minutes of the budget before the first
-// configuration is ever measured.
+// configuration is ever measured.  This header holds a session's options
+// and result; run_session (session.hpp) runs one.
 
 #include <string>
 #include <vector>
@@ -85,7 +86,7 @@ struct TuningOptions {
   /// machine noise, so two runs of the same session never replay the same
   /// virtual timeline; fixing the charge makes a session's TuningRun
   /// bit-reproducible — across repeats, thread counts, and between an
-  /// isolated run_tuning call and the same session under a SessionManager.
+  /// isolated run_session call and the same session under a SessionManager.
   double fixed_construction_seconds = -1.0;
   /// Objective set of the session.  Defaults to the legacy single objective
   /// (maximize gflops); measurements are masked to this set before they
@@ -103,34 +104,5 @@ struct TuningOptions {
   bool warm_start = false;
   std::size_t warm_start_top_k = 8;
 };
-
-/// Run one tuning session: construct the space with `method`, then drive
-/// `optimizer` over it until the virtual budget is exhausted.
-///
-/// Deprecated entry point: build a SessionRequest (session.hpp,
-/// make_session_request) and call run_session instead — one options struct
-/// for every tuning path.  Removal timeline in CONTRIBUTING.md.
-[[deprecated(
-    "use run_session(SessionRequest) / make_session_request; see "
-    "CONTRIBUTING.md")]]
-TuningRun run_tuning(const TuningProblem& spec, const Method& method,
-                     const PerformanceModel& model, Optimizer& optimizer,
-                     const TuningOptions& options);
-
-/// Run one tuning session over an already-resolved space or a tune-time
-/// restriction of one (SubSpace::restrict) — the resolve-once,
-/// restrict-per-scenario workflow.  The parent space's measured
-/// construction latency is charged to the virtual clock (the restriction
-/// itself is effectively free); rows in the run are the view's local ids.
-///
-/// Deprecated entry point: build a SessionRequest (session.hpp,
-/// make_session_request) and call run_session instead.  Removal timeline in
-/// CONTRIBUTING.md.
-[[deprecated(
-    "use run_session(SessionRequest) / make_session_request; see "
-    "CONTRIBUTING.md")]]
-TuningRun run_tuning(const searchspace::SubSpace& view, const PerformanceModel& model,
-                     Optimizer& optimizer, const TuningOptions& options,
-                     const std::string& method_name = "subspace");
 
 }  // namespace tunespace::tuner

@@ -1,12 +1,11 @@
 #pragma once
 // Concurrent multi-session tuning runtime.
 //
-// run_tuning (runner.hpp) drives exactly one optimizer over one space.  A
-// production tuner serves many sessions at once — several kernels, several
-// devices, several users — and most of that load is redundant: sessions
-// tuning the same spec re-solve the same constrained space and re-measure
-// the same configurations.  This header adds the runtime that amortizes
-// both:
+// run_session drives exactly one optimizer over one space.  A production
+// tuner serves many sessions at once — several kernels, several devices,
+// several users — and most of that load is redundant: sessions tuning the
+// same spec re-solve the same constrained space and re-measure the same
+// configurations.  This header adds the runtime that amortizes both:
 //
 //   SharedEvalCache   lock-striped map of simulated kernel measurements
 //                     keyed by (space fingerprint, parent row id).  The
@@ -20,10 +19,10 @@
 //                     configuration to measure, report() feeds the
 //                     measurement back and advances the virtual clock,
 //                     budget accounting, trajectory and shared-cache
-//                     interaction.  The legacy run_tuning overloads, the
-//                     SessionManager workers, the Portfolio members and the
-//                     TuningService (service.hpp) are all thin drivers over
-//                     it — the session semantics exist exactly once.
+//                     interaction.  run_session, the SessionManager
+//                     workers, the Portfolio members and the TuningService
+//                     (service.hpp) all run their sessions through it — the
+//                     session semantics exist exactly once.
 //
 //   run_session       the closed-loop driver over a SessionStepper: takes
 //                     one SessionRequest, asks, answers each suggestion
@@ -119,6 +118,21 @@ class SharedEvalCache {
   std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 
+/// Whether sessions of `spec` may share a space and measurements with
+/// other sessions.  Native lambda constraints are opaque to
+/// spec_fingerprint, so two behaviorally different specs could collide:
+/// such specs never share.
+bool shareable(const TuningProblem& spec);
+
+/// The SharedEvalCache fingerprint of sessions over `space` measured by
+/// `model` under `objectives`.  The objective set is part of the key
+/// because cached vectors are masked to it, so sessions only ever share
+/// measurements of the same space, surface and vector shape.  Persisted
+/// TSEC files are keyed by it: the mix order must not change.
+std::uint64_t eval_cache_fingerprint(const searchspace::SearchSpace& space,
+                                     const PerformanceModel& model,
+                                     const ObjectiveSpec& objectives);
+
 /// Per-session observability filled by the shared runtime.
 struct SessionStats {
   bool shared_space = false;        ///< space was reused from the registry
@@ -131,7 +145,7 @@ struct SessionStats {
 };
 
 /// Internal hooks the Portfolio scheduler injects into the session loop;
-/// default-constructed hooks are inert (the plain run_tuning path).
+/// default-constructed hooks are inert (the plain run_session path).
 struct SessionHooks {
   /// Blocks until this session may perform its next evaluation request
   /// (the lockstep virtual-time turnstile); called with the current
@@ -173,7 +187,7 @@ struct Suggestion {
 ///     nullopt (idempotently) and report() throws kSessionFinished.
 ///   - Replay is deterministic: driving the stepper with the same view,
 ///     optimizer, options and measurement sequence reproduces the same
-///     suggestions and the same TuningRun bit-for-bit — run_session_loop is
+///     suggestions and the same TuningRun bit-for-bit — run_session is
 ///     exactly such a drive, so an ask/tell replay matches the closed loop.
 ///   - A measurement reported for (view, cache_fingerprint) becomes visible
 ///     to every other session sharing the cache the moment report() charges
@@ -335,8 +349,7 @@ struct SessionRequest {
   Optimizer* optimizer = nullptr;
   /// Cross-session measurement sharing (see SharedEvalCache); the
   /// fingerprint must identify the (space, model, objective-set) triple —
-  /// mix SearchSpace::fingerprint(), PerformanceModel::fingerprint() and
-  /// ObjectiveSpec::fingerprint() — so sessions only ever share
+  /// use eval_cache_fingerprint() — so sessions only ever share
   /// measurements of the same surface, space and vector shape.  Cache hits
   /// still charge full evaluation cost and count as evaluations, so a
   /// session's TuningRun is bit-identical with and without sharing.
@@ -350,9 +363,8 @@ struct SessionRequest {
 /// (construct from `spec` or adopt `view`), drive the optimizer through a
 /// SessionStepper closed loop answering every suggestion with
 /// model->measure(), and return the finished TuningRun.  This is the one
-/// canonical entry point; the deprecated run_tuning / run_session_loop
-/// shims and the SessionManager workers all phrase themselves as
-/// SessionRequests.
+/// canonical entry point; the SessionManager workers and the Portfolio
+/// members phrase themselves as SessionRequests too.
 TuningRun run_session(const SessionRequest& request);
 
 /// Convenience builders for the common shapes.  The returned request
@@ -369,22 +381,6 @@ SessionRequest make_session_request(const searchspace::SubSpace& view,
                                     const TuningOptions& options,
                                     const std::string& method_name = "subspace");
 
-/// Deprecated spelling of run_session(SessionRequest): kept for one release
-/// as a shim (see CONTRIBUTING.md).  Identical semantics — it builds the
-/// equivalent SessionRequest and forwards.
-[[deprecated(
-    "use run_session(SessionRequest) / make_session_request; see "
-    "CONTRIBUTING.md")]]
-TuningRun run_session_loop(const searchspace::SubSpace& view,
-                           const std::string& method_name,
-                           double construction_seconds,
-                           const PerformanceModel& model, Optimizer& optimizer,
-                           const TuningOptions& options,
-                           SharedEvalCache* shared_cache = nullptr,
-                           std::uint64_t cache_fingerprint = 0,
-                           SessionStats* stats = nullptr,
-                           const SessionHooks& hooks = {});
-
 /// Result of one scheduled session.
 struct SessionResult {
   TuningRun run;
@@ -399,12 +395,6 @@ struct SessionManagerOptions {
   /// SearchSpace::load_or_build(spec, method, snapshot_cache_dir), so a
   /// warm snapshot cache makes even the first session's construction fast.
   std::string snapshot_cache_dir;
-  /// Share one immutable SearchSpace between same-fingerprint sessions.
-  bool share_spaces = true;
-  /// Share kernel measurements between sessions via SharedEvalCache.
-  bool share_evaluations = true;
-  /// Lock stripes of the shared evaluation cache.
-  std::size_t cache_stripes = 64;
 };
 
 /// Schedules many tuning sessions over a worker pool, sharing immutable
@@ -419,17 +409,19 @@ class SessionManager {
   SessionManager& operator=(const SessionManager&) = delete;
 
   /// Run every session to completion; results are indexed like `requests`.
-  /// Each session's TuningRun is identical to what an isolated run_tuning
+  /// Each session's TuningRun is identical to what an isolated run_session
   /// with the same spec, optimizer, and options would produce (fix
   /// TuningOptions::fixed_construction_seconds for bit-exact equality —
-  /// measured construction latency is machine noise).
+  /// measured construction latency is machine noise).  The first session
+  /// that throws stops new sessions from starting; its exception is
+  /// rethrown once the running ones finished.
   std::vector<SessionResult> run_all(std::vector<SessionRequest> requests);
 
   /// The shared space for (spec, method): built at most once per
   /// fingerprint; concurrent callers block on the in-flight build.  Specs
-  /// carrying native lambda constraints cannot be fingerprinted and get a
-  /// private space.  `stats` (optional) reports whether the space was
-  /// shared and the wall seconds spent waiting.
+  /// that are not shareable() get a private space.  `stats` (optional)
+  /// reports whether the space was shared and the wall seconds spent
+  /// waiting.
   std::shared_ptr<const searchspace::SearchSpace> acquire_space(
       const TuningProblem& spec, const Method& method,
       SessionStats* stats = nullptr);
@@ -438,7 +430,6 @@ class SessionManager {
   /// Mutable cache access for runtimes layered on top (the TuningService
   /// hands it to its steppers and persists it across restarts).
   SharedEvalCache& eval_cache() { return eval_cache_; }
-  const SessionManagerOptions& options() const { return options_; }
   std::size_t spaces_built() const;   ///< registry misses (fresh builds)
   std::size_t spaces_shared() const;  ///< registry hits (reused spaces)
 

@@ -12,9 +12,9 @@
 //     nodes/checks the sequential search spends on the top D levels);
 //   * a prefix seed fixes positions [0, D) to one expanded prefix and
 //     enumerates only the subtree below it, never backtracking above D.
-// Together they let the work-stealing parallel solver split the search tree
-// at any depth while keeping the union of all engines' effort counters
-// exactly equal to a single sequential enumeration.
+// Together they let the parallel solver split the search tree at any depth
+// while keeping the union of all engines' effort counters exactly equal to a
+// single sequential enumeration.
 
 #include <cstdint>
 #include <vector>

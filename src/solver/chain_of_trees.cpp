@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "tunespace/util/timer.hpp"
-#include "work_stealing.hpp"
 
 namespace tunespace::solver {
 
@@ -47,9 +46,8 @@ struct GroupBuild {
   std::vector<std::vector<std::uint32_t>> combos;   // enumerated leaves
 };
 
-/// Per-worker mutable state of the tree build.  The sequential construction
-/// uses one; the parallel construction gives each worker its own, so root
-/// subtrees build concurrently without sharing any assignment scratch.
+/// Mutable state of one construction: the partial assignment, the effort
+/// counters and the pyATF-mode dictionary sink.
 struct BuildCtx {
   explicit BuildCtx(std::size_t n)
       : values(n), int_values(n, 0), assigned(n, 0) {}
@@ -162,13 +160,12 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
   // --- Build one tree per group ---------------------------------------------
   timer.reset();
 
+  BuildCtx ctx(n);
   // Recursive lambda building (and validating) the node for value `vi` of
   // position `depth`; returns false when the node fails its checks or has no
-  // valid completion below.  All mutable state lives in the BuildCtx, so the
-  // parallel construction can run one instance per worker.
-  auto build_node = [&](auto&& self, BuildCtx& ctx, const GroupBuild& group,
-                        std::size_t depth, std::uint32_t vi,
-                        TreeNode& out) -> bool {
+  // valid completion below.
+  auto build_node = [&](auto&& self, const GroupBuild& group, std::size_t depth,
+                        std::uint32_t vi, TreeNode& out) -> bool {
     const std::size_t var = group.vars[depth];
     const csp::Domain& dom = problem.domain(var);
     if (needs_boxed[var]) ctx.values[var] = dom[vi];
@@ -211,7 +208,7 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
       const csp::Domain& child_dom = problem.domain(group.vars[depth + 1]);
       for (std::uint32_t ci = 0; ci < child_dom.size(); ++ci) {
         TreeNode child;
-        if (self(self, ctx, group, depth + 1, ci, child)) {
+        if (self(self, group, depth + 1, ci, child)) {
           out.children.push_back(std::move(child));
         }
       }
@@ -225,80 +222,19 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
     return true;
   };
 
-  const bool use_parallel = parallel_enabled_ && !interpreter_overhead_;
-  const std::size_t workers = use_parallel ? parallel_.resolve_threads() : 1;
-  std::uint64_t nodes = 0, checks = 0, fast_checks = 0;
-
-  if (use_parallel) {
-    // One task per chain block subtree: each root value of each group's tree
-    // builds independently; results are collected back in (group, root) rank
-    // order, so the trees are identical to the sequential construction.
-    // (Corner case: when some group turns out unsatisfiable, the sequential
-    // build stops at that group while this path has already built the rest,
-    // so effort counters can exceed the sequential ones — the result is
-    // still identical: empty.)
-    struct RootTask {
-      std::uint32_t group = 0;
-      std::uint32_t vi = 0;
-    };
-    std::vector<RootTask> root_tasks;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      const csp::Domain& dom = problem.domain(groups[g].vars[0]);
-      for (std::uint32_t vi = 0; vi < dom.size(); ++vi) {
-        root_tasks.push_back(
-            RootTask{static_cast<std::uint32_t>(g), vi});
-      }
-    }
-    std::vector<std::pair<unsigned char, TreeNode>> built(root_tasks.size());
-    detail::WorkStealingScheduler scheduler(root_tasks.size(), workers,
-                                            parallel_.steal);
-    std::vector<BuildCtx> ctxs(scheduler.workers(), BuildCtx(n));
-    scheduler.run([&](std::size_t w, std::uint32_t t) {
-      const RootTask& task = root_tasks[t];
+  for (GroupBuild& group : groups) {
+    const csp::Domain& dom = problem.domain(group.vars[0]);
+    for (std::uint32_t vi = 0; vi < dom.size(); ++vi) {
       TreeNode node;
-      if (build_node(build_node, ctxs[w], groups[task.group], 0, task.vi,
-                     node)) {
-        built[t] = {1, std::move(node)};
-      }
-    });
-    result.stats.parallel_tasks += root_tasks.size();
-    result.stats.parallel_workers =
-        static_cast<std::uint32_t>(scheduler.workers());
-    for (const BuildCtx& ctx : ctxs) {
-      nodes += ctx.nodes;
-      checks += ctx.checks;
-      fast_checks += ctx.fast_checks;
-    }
-    std::size_t t = 0;
-    for (GroupBuild& group : groups) {
-      const csp::Domain& dom = problem.domain(group.vars[0]);
-      for (std::uint32_t vi = 0; vi < dom.size(); ++vi, ++t) {
-        if (built[t].first) group.roots.push_back(std::move(built[t].second));
+      if (build_node(build_node, group, 0, vi, node)) {
+        group.roots.push_back(std::move(node));
       }
     }
-  } else {
-    BuildCtx ctx(n);
-    for (GroupBuild& group : groups) {
-      const csp::Domain& dom = problem.domain(group.vars[0]);
-      for (std::uint32_t vi = 0; vi < dom.size(); ++vi) {
-        TreeNode node;
-        if (build_node(build_node, ctx, group, 0, vi, node)) {
-          group.roots.push_back(std::move(node));
-        }
-      }
-      if (group.roots.empty()) break;  // one empty group empties the chain
-    }
-    nodes = ctx.nodes;
-    checks = ctx.checks;
-    fast_checks = ctx.fast_checks;
-  }
-
-  for (const GroupBuild& group : groups) {
     if (group.roots.empty()) {
       // One empty group empties the whole chain.
-      result.stats.nodes = nodes;
-      result.stats.constraint_checks = checks;
-      result.stats.fast_checks = fast_checks;
+      result.stats.nodes = ctx.nodes;
+      result.stats.constraint_checks = ctx.checks;
+      result.stats.fast_checks = ctx.fast_checks;
       result.stats.search_seconds = timer.seconds();
       return result;
     }
@@ -322,84 +258,37 @@ SolveResult ChainOfTrees::solve(csp::Problem& problem) const {
   }
 
   // --- Link the chain: cross product of per-group combinations -------------
-  // The last group is the fastest-cycling odometer digit, so global row
-  // index r decomposes into per-group picks by mod/div from the back.
+  // An odometer over the per-group picks; the last group cycles fastest.
   std::uint64_t total = 1;
   for (const GroupBuild& group : groups) total *= group.combos.size();
-
-  // Compose the row for the current picks / advance the odometer.
-  auto compose = [&](const std::vector<std::size_t>& pick,
-                     std::vector<std::uint32_t>& row) {
+  std::vector<std::size_t> pick(groups.size(), 0);
+  std::vector<std::uint32_t> row(n);
+  RowBlock block(result.solutions);
+  for (std::uint64_t i = 0; i < total; ++i) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const auto& combo = groups[g].combos[pick[g]];
       for (std::size_t p = 0; p < groups[g].vars.size(); ++p) {
         row[groups[g].vars[p]] = combo[p];
       }
     }
-  };
-  auto advance = [&](std::vector<std::size_t>& pick) {
-    std::size_t g = groups.size();
-    while (g-- > 0) {
+    if (interpreter_overhead_) {
+      // pyATF yields each configuration as a freshly-allocated dictionary.
+      std::unordered_map<std::string, Value> solution_config;
+      for (std::size_t v = 0; v < n; ++v) {
+        solution_config[problem.name(v)] = problem.domain(v)[row[v]];
+      }
+      ctx.py_config = std::move(solution_config);
+    }
+    block.push(row.data());
+    for (std::size_t g = groups.size(); g-- > 0;) {
       if (++pick[g] < groups[g].combos.size()) break;
       pick[g] = 0;
     }
-  };
-
-  if (use_parallel && workers > 1 && total > 1) {
-    // Chunked materialization: each chunk decodes its starting picks from
-    // the global row index and fills a private SolutionSet; chunk-order
-    // concatenation reproduces the sequential enumeration byte-for-byte.
-    const std::size_t num_chunks =
-        static_cast<std::size_t>(std::min<std::uint64_t>(total, workers * 4));
-    std::vector<SolutionSet> chunk_sets(num_chunks);
-    for (auto& set : chunk_sets) set = SolutionSet(problem);
-    detail::WorkStealingScheduler scheduler(num_chunks, workers, parallel_.steal);
-    scheduler.run([&](std::size_t, std::uint32_t c) {
-      const std::uint64_t lo = total * c / num_chunks;
-      const std::uint64_t hi = total * (c + 1) / num_chunks;
-      std::vector<std::size_t> pick(groups.size(), 0);
-      std::uint64_t r = lo;
-      for (std::size_t g = groups.size(); g-- > 0;) {
-        pick[g] = static_cast<std::size_t>(r % groups[g].combos.size());
-        r /= groups[g].combos.size();
-      }
-      std::vector<std::uint32_t> row(n);
-      RowBlock block(chunk_sets[c]);
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        compose(pick, row);
-        block.push(row.data());
-        advance(pick);
-      }
-      block.flush();
-    });
-    result.stats.parallel_tasks += num_chunks;
-    result.stats.parallel_workers =
-        std::max(result.stats.parallel_workers,
-                 static_cast<std::uint32_t>(scheduler.workers()));
-    for (const SolutionSet& set : chunk_sets) result.solutions.append_all(set);
-  } else {
-    BuildCtx py_ctx(0);  // pyATF per-solution dictionary sink
-    std::vector<std::size_t> pick(groups.size(), 0);
-    std::vector<std::uint32_t> row(n);
-    RowBlock block(result.solutions);
-    for (std::uint64_t i = 0; i < total; ++i) {
-      compose(pick, row);
-      if (interpreter_overhead_) {
-        // pyATF yields each configuration as a freshly-allocated dictionary.
-        std::unordered_map<std::string, Value> solution_config;
-        for (std::size_t v = 0; v < n; ++v) {
-          solution_config[problem.name(v)] = problem.domain(v)[row[v]];
-        }
-        py_ctx.py_config = std::move(solution_config);
-      }
-      block.push(row.data());
-      advance(pick);
-    }
-    block.flush();
   }
-  result.stats.nodes = nodes;
-  result.stats.constraint_checks = checks;
-  result.stats.fast_checks = fast_checks;
+  block.flush();
+  result.stats.nodes = ctx.nodes;
+  result.stats.constraint_checks = ctx.checks;
+  result.stats.fast_checks = ctx.fast_checks;
   result.stats.search_seconds = timer.seconds();
   return result;
 }

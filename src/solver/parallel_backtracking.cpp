@@ -4,7 +4,7 @@
 
 #include "backtracking_core.hpp"
 #include "tunespace/util/timer.hpp"
-#include "work_stealing.hpp"
+#include "util/parallel_for.hpp"
 
 namespace tunespace::solver {
 
@@ -14,8 +14,11 @@ namespace {
 /// pool (and per-task bookkeeping) bounded on spaces with huge level fan-out.
 constexpr std::uint64_t kMaxAutoCandidates = 1u << 20;
 
+/// Auto split-depth granularity target: valid prefixes (tasks) per worker.
+constexpr std::size_t kTasksPerWorker = 8;
+
 /// Initial guess for the prefix split depth: grow until the Cartesian
-/// fan-out of the first `depth` search positions reaches ~tasks_per_thread
+/// fan-out of the first `depth` search positions reaches ~kTasksPerWorker
 /// tasks per worker, staying above the old first-variable-only
 /// decomposition (depth 1) and below a full enumeration (depth n-1).  The
 /// solve loop deepens further when pruning leaves too few *valid* prefixes
@@ -26,8 +29,7 @@ std::size_t initial_split_depth(const detail::SearchPlan& plan,
   const std::size_t n = plan.order.size();
   std::size_t depth = options.split_depth;
   if (depth == 0) {
-    const std::uint64_t target =
-        workers * std::max<std::size_t>(options.tasks_per_thread, 1);
+    const std::uint64_t target = workers * kTasksPerWorker;
     std::uint64_t product = 1;
     while (depth + 1 < n && product < target) {
       const std::uint64_t next =
@@ -83,8 +85,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   // expansion's counters are recorded, so expansion + task counters still
   // sum to the sequential totals.
   std::size_t depth = initial_split_depth(plan, parallel_, workers);
-  const std::size_t task_target =
-      workers * std::max<std::size_t>(parallel_.tasks_per_thread, 1);
+  const std::size_t task_target = workers * kTasksPerWorker;
   std::vector<std::uint32_t> prefixes;  // depth entries per task, rank order
   for (;;) {
     prefixes.clear();
@@ -116,9 +117,10 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     return result;
   }
 
-  // --- Phase 2: work-stealing enumeration of the per-prefix subtrees ------
-  // Solutions land in per-worker sharded SolutionSets tagged with their
-  // prefix rank; no shared append lock anywhere on the hot path.
+  // --- Phase 2: parallel enumeration of the per-prefix subtrees -----------
+  // Workers take prefix tasks from a shared cursor; solutions land in
+  // per-worker sharded SolutionSets tagged with their prefix rank, with no
+  // shared append lock anywhere on the hot path.
   struct Segment {
     std::uint32_t rank = 0;
     std::uint32_t worker = 0;
@@ -132,11 +134,10 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     std::uint64_t block_checks = 0, block_lanes = 0;
   };
 
-  detail::WorkStealingScheduler scheduler(num_tasks, workers, parallel_.steal);
-  std::vector<WorkerShard> shards(scheduler.workers());
+  std::vector<WorkerShard> shards(std::min(workers, num_tasks));
   for (auto& shard : shards) shard.solutions = SolutionSet(problem);
 
-  scheduler.run([&](std::size_t w, std::uint32_t task) {
+  const auto run_task = [&](std::size_t w, std::size_t task) {
     WorkerShard& shard = shards[w];
     detail::BacktrackingEngine engine(
         plan, detail::BacktrackingEngine::PrefixSeed{&prefixes[task * depth], depth});
@@ -144,7 +145,8 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     RowBlock block(shard.solutions);
     while (engine.next()) block.push(engine.row().data());
     block.flush();
-    shard.segments.push_back(Segment{task, static_cast<std::uint32_t>(w), begin,
+    shard.segments.push_back(Segment{static_cast<std::uint32_t>(task),
+                                     static_cast<std::uint32_t>(w), begin,
                                      shard.solutions.size() - begin});
     shard.nodes += engine.nodes();
     shard.checks += engine.constraint_checks();
@@ -152,8 +154,9 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
     shard.prunes += engine.prunes();
     shard.block_checks += engine.block_checks();
     shard.block_lanes += engine.block_lanes();
-  });
-  result.stats.parallel_workers = static_cast<std::uint32_t>(scheduler.workers());
+  };
+  result.stats.parallel_workers = static_cast<std::uint32_t>(
+      util::parallel_for(num_tasks, shards.size(), run_task));
 
   // --- Phase 3: deterministic merge in prefix-rank order ------------------
   std::vector<Segment> segments;

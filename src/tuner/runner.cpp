@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tunespace/tuner/session.hpp"
-
 namespace tunespace::tuner {
 
 double TuningRun::best_at(double time) const {
@@ -27,26 +25,6 @@ std::vector<ParetoPoint> TuningRun::pareto() const {
                      return a.row < b.row;
                    });
   return sorted;
-}
-
-// Both deprecated overloads are thin shims over run_session (session.cpp),
-// the one canonical stepper-backed entry point: they build the equivalent
-// SessionRequest and forward.  The virtual clock, budget and overhead
-// accounting live exactly once, in SessionStepper, shared with the
-// SessionManager workers, the Portfolio members and the TuningService.
-
-TuningRun run_tuning(const TuningProblem& spec, const Method& method,
-                     const PerformanceModel& model, Optimizer& optimizer,
-                     const TuningOptions& options) {
-  return run_session(
-      make_session_request(spec, method, model, optimizer, options));
-}
-
-TuningRun run_tuning(const searchspace::SubSpace& view, const PerformanceModel& model,
-                     Optimizer& optimizer, const TuningOptions& options,
-                     const std::string& method_name) {
-  return run_session(
-      make_session_request(view, model, optimizer, options, method_name));
 }
 
 }  // namespace tunespace::tuner

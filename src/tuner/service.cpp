@@ -275,19 +275,13 @@ OpenSessionResponse TuningService::open(const OpenSessionRequest& request) {
     tuning.objectives = request.objectives;
     tuning.warm_start = request.warm_start;
 
-    const bool cacheable = manager_.options().share_evaluations &&
-                           kernel->spec.lambda_constraints().empty();
-    // Cache entries are keyed by (space, model, objective set): sessions with
-    // different objective vectors must never exchange masked measurements.
-    const std::uint64_t cache_fp = util::mix64(
-        util::mix64(space->fingerprint(), session->model->fingerprint()),
-        tuning.objectives.fingerprint());
     auto model = session->model;  // kept alive by the cost closure
     session->stepper = std::make_unique<SessionStepper>(
         session->view, method.name, space->construction_seconds(),
         *session->optimizer, tuning,
         [model](const Measurement& m) { return model->evaluation_cost(m.gflops); },
-        cacheable ? &manager_.eval_cache() : nullptr, cache_fp, &session->stats);
+        shareable(kernel->spec) ? &manager_.eval_cache() : nullptr,
+        eval_cache_fingerprint(*space, *model, tuning.objectives), &session->stats);
   } catch (...) {
     std::lock_guard<std::mutex> lock(mutex_);
     pending_opens_--;

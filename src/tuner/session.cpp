@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "tunespace/util/timer.hpp"
+#include "util/parallel_for.hpp"
 
 namespace tunespace::tuner {
 
@@ -545,22 +546,15 @@ SessionRequest make_session_request(const searchspace::SubSpace& view,
   return request;
 }
 
-TuningRun run_session_loop(const searchspace::SubSpace& view,
-                           const std::string& method_name,
-                           double construction_seconds,
-                           const PerformanceModel& model, Optimizer& optimizer,
-                           const TuningOptions& options,
-                           SharedEvalCache* shared_cache,
-                           std::uint64_t cache_fingerprint, SessionStats* stats,
-                           const SessionHooks& hooks) {
-  SessionRequest request =
-      make_session_request(view, model, optimizer, options, method_name);
-  request.construction_seconds = construction_seconds;
-  request.shared_cache = shared_cache;
-  request.cache_fingerprint = cache_fingerprint;
-  request.stats = stats;
-  request.hooks = hooks;
-  return run_session(request);
+bool shareable(const TuningProblem& spec) {
+  return spec.lambda_constraints().empty();
+}
+
+std::uint64_t eval_cache_fingerprint(const searchspace::SearchSpace& space,
+                                     const PerformanceModel& model,
+                                     const ObjectiveSpec& objectives) {
+  return mix64(mix64(space.fingerprint(), model.fingerprint()),
+               objectives.fingerprint());
 }
 
 // ---------------------------------------------------------------------------
@@ -576,9 +570,7 @@ struct SessionManager::SpaceRegistry {
 };
 
 SessionManager::SessionManager(SessionManagerOptions options)
-    : options_(std::move(options)),
-      eval_cache_(options_.cache_stripes),
-      registry_(std::make_unique<SpaceRegistry>()) {}
+    : options_(std::move(options)), registry_(std::make_unique<SpaceRegistry>()) {}
 
 SessionManager::~SessionManager() = default;
 
@@ -596,9 +588,7 @@ std::shared_ptr<const searchspace::SearchSpace> SessionManager::acquire_space(
                   spec, method, options_.snapshot_cache_dir));
   };
 
-  // Lambda constraints are opaque to the fingerprint: two behaviorally
-  // different specs could collide, so such sessions get a private space.
-  if (!options_.share_spaces || !spec.lambda_constraints().empty()) {
+  if (!shareable(spec)) {
     registry_->built++;
     auto space = build();
     if (stats) {
@@ -654,24 +644,13 @@ SessionResult SessionManager::run_one(SessionRequest& request) {
   const Method& method = request.method ? *request.method : built;
   auto space = acquire_space(request.spec, method, &result.stats);
 
-  searchspace::SubSpace view(space);  // shared-ownership handoff
-
-  // Measurements may be shared only when the (space, model, objective-set)
-  // triple is identifiable: lambda-constraint spaces have colliding
-  // fingerprints, so they never share.  The objective set is part of the
-  // key because cached vectors are masked to it.
-  const bool cacheable =
-      options_.share_evaluations && request.spec.lambda_constraints().empty();
-  const std::uint64_t cache_fp =
-      mix64(mix64(space->fingerprint(), request.model->fingerprint()),
-            request.options.objectives.fingerprint());
-
   SessionRequest resolved = request;
-  resolved.view = view;
+  resolved.view = searchspace::SubSpace(space);  // shared-ownership handoff
   resolved.method_name = method.name;
   resolved.construction_seconds = space->construction_seconds();
-  resolved.shared_cache = cacheable ? &eval_cache_ : nullptr;
-  resolved.cache_fingerprint = cache_fp;
+  resolved.shared_cache = shareable(request.spec) ? &eval_cache_ : nullptr;
+  resolved.cache_fingerprint = eval_cache_fingerprint(
+      *space, *request.model, request.options.objectives);
   resolved.stats = &result.stats;
   result.run = run_session(resolved);
   return result;
@@ -680,37 +659,11 @@ SessionResult SessionManager::run_one(SessionRequest& request) {
 std::vector<SessionResult> SessionManager::run_all(
     std::vector<SessionRequest> requests) {
   std::vector<SessionResult> results(requests.size());
-  if (requests.empty()) return results;
-
-  const std::size_t hw = std::thread::hardware_concurrency();
-  std::size_t workers = options_.workers ? options_.workers : (hw ? hw : 1);
-  workers = std::min(workers, requests.size());
-
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto drain = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= requests.size()) return;
-      try {
-        results[i] = run_one(requests[i]);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    drain();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(drain);
-    for (auto& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  const std::size_t workers =
+      options_.workers ? options_.workers : std::thread::hardware_concurrency();
+  util::parallel_for(requests.size(), workers, [&](std::size_t, std::size_t i) {
+    results[i] = run_one(requests[i]);
+  });
   return results;
 }
 
@@ -821,8 +774,7 @@ PortfolioResult run_portfolio(const searchspace::SubSpace& view,
   SharedEvalCache local_cache;
   SharedEvalCache* cache = shared_cache ? shared_cache : &local_cache;
   const std::uint64_t cache_fp =
-      mix64(mix64(view.parent().fingerprint(), model.fingerprint()),
-            options.base.objectives.fingerprint());
+      eval_cache_fingerprint(view.parent(), model, options.base.objectives);
 
   const double construction = view.parent().construction_seconds();
   const double charged = options.base.fixed_construction_seconds >= 0

@@ -1,15 +1,15 @@
-// Determinism + equivalence suite for the work-stealing parallel engines.
+// Determinism + equivalence suite for the parallel backtracking engine.
 //
-// For randomized (seed-deterministic) synthetic problems and hand-built
-// multi-group problems, the sequential, 1-thread and N-thread constructions
-// of both engines (backtracking and chain-of-trees) must produce the
-// identical solution ORDER (not just set) and identical SolveStats
-// node/check totals — the parallel decomposition only re-distributes work,
-// it never changes what work is done.
+// For randomized (seed-deterministic) synthetic problems, the sequential,
+// 1-thread and N-thread constructions must produce the identical solution
+// ORDER (not just set) and identical SolveStats node/check totals — the
+// parallel decomposition only re-distributes work, it never changes what
+// work is done.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "tunespace/csp/builtin_constraints.hpp"
-#include "tunespace/solver/chain_of_trees.hpp"
 #include "tunespace/solver/optimized_backtracking.hpp"
 #include "tunespace/expr/function_constraint.hpp"
 #include "tunespace/expr/parser.hpp"
@@ -46,21 +46,6 @@ csp::Problem synthetic_problem(std::size_t dims, std::uint64_t target,
   return tuner::build_problem(space.spec, tuner::PipelineOptions::optimized());
 }
 
-/// Three interdependence groups (pairs), so the chain-of-trees path
-/// exercises cross-group tree tasks and the chunked product linking.
-csp::Problem multi_group_problem() {
-  csp::Problem p;
-  for (int g = 0; g < 3; ++g) {
-    const std::string a = "a" + std::to_string(g);
-    const std::string b = "b" + std::to_string(g);
-    p.add_variable(a, csp::Domain::range(1, 6));
-    p.add_variable(b, csp::Domain::range(1, 6));
-    p.add_constraint(std::make_unique<csp::MaxProduct>(
-        12 + g, std::vector<std::string>{a, b}));
-  }
-  return p;
-}
-
 }  // namespace
 
 // --- Backtracking engine ------------------------------------------------------
@@ -87,7 +72,7 @@ TEST_P(ParallelEquivalence, BacktrackingIdenticalOrderAndEffort) {
   }
 }
 
-TEST_P(ParallelEquivalence, SplitDepthAndStealPolicyDoNotChangeResults) {
+TEST_P(ParallelEquivalence, SplitDepthDoesNotChangeResults) {
   const std::uint64_t seed = GetParam();
   auto build = [&] { return synthetic_problem(4, 40000, 2, seed); };
 
@@ -95,18 +80,15 @@ TEST_P(ParallelEquivalence, SplitDepthAndStealPolicyDoNotChangeResults) {
   const auto sequential = OptimizedBacktracking{}.solve(p_seq);
 
   for (std::size_t split_depth : {0u, 1u, 2u, 3u, 100u}) {  // 100 -> clamped
-    for (StealPolicy steal : {StealPolicy::kSequential, StealPolicy::kRandom}) {
-      SolverOptions options;
-      options.threads = 4;
-      options.split_depth = split_depth;
-      options.steal = steal;
-      csp::Problem p_par = build();
-      const auto parallel = ParallelBacktracking(options).solve(p_par);
-      const std::string what = "seed " + std::to_string(seed) + " depth " +
-                               std::to_string(split_depth);
-      expect_identical(parallel.solutions, sequential.solutions, what);
-      expect_same_effort(parallel.stats, sequential.stats, what);
-    }
+    SolverOptions options;
+    options.threads = 4;
+    options.split_depth = split_depth;
+    csp::Problem p_par = build();
+    const auto parallel = ParallelBacktracking(options).solve(p_par);
+    const std::string what = "seed " + std::to_string(seed) + " depth " +
+                             std::to_string(split_depth);
+    expect_identical(parallel.solutions, sequential.solutions, what);
+    expect_same_effort(parallel.stats, sequential.stats, what);
   }
 }
 
@@ -177,62 +159,49 @@ TEST(ParallelBacktrackingSplit, SingleVariableProblem) {
   EXPECT_EQ(result.stats.parallel_workers, 1u);
 }
 
-// --- Chain-of-trees engine ----------------------------------------------------
+namespace {
 
-class ChainOfTreesParallel : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ChainOfTreesParallel, IdenticalOrderAndEffort) {
-  const std::uint64_t seed = GetParam();
-  auto build = [&] { return synthetic_problem(3, 30000, 1 + seed % 3, seed); };
-
-  csp::Problem p_seq = build();
-  const auto sequential = ChainOfTrees{}.solve(p_seq);
-  ASSERT_GT(sequential.solutions.size(), 0u);
-
-  for (std::size_t threads : {1u, 4u, 8u}) {
-    SolverOptions options;
-    options.threads = threads;
-    csp::Problem p_par = build();
-    const auto parallel = ChainOfTrees{}.set_parallel(options).solve(p_par);
-    const std::string what =
-        "seed " + std::to_string(seed) + " threads " + std::to_string(threads);
-    expect_identical(parallel.solutions, sequential.solutions, what);
-    expect_same_effort(parallel.stats, sequential.stats, what);
+/// A user constraint that fails loudly on one value of `a`.
+class ThrowsOnSeven : public csp::Constraint {
+ public:
+  ThrowsOnSeven() : Constraint({"a", "b", "c"}) {}
+  bool satisfied(const csp::Value* values) const override {
+    if (values[indices_[0]].as_int() == 7) throw std::runtime_error("a == 7");
+    return true;
   }
+  std::string describe() const override { return "throws on a == 7"; }
+};
+
+csp::Problem throwing_problem() {
+  csp::Problem p;
+  for (const char* name : {"a", "b", "c"}) {
+    p.add_variable(name, csp::Domain::range(1, 40));
+  }
+  p.add_constraint(std::make_unique<ThrowsOnSeven>());
+  return p;
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomizedProblems, ChainOfTreesParallel,
-                         ::testing::Values(5u, 23u, 99u));
-
-TEST(ChainOfTreesParallelTest, MultiGroupProductIsIdentical) {
-  csp::Problem p_seq = multi_group_problem();
-  const auto sequential = ChainOfTrees{}.solve(p_seq);
-  ASSERT_GT(sequential.solutions.size(), 0u);
-
-  for (StealPolicy steal : {StealPolicy::kSequential, StealPolicy::kRandom}) {
-    SolverOptions options;
-    options.threads = 8;
-    options.steal = steal;
-    csp::Problem p_par = multi_group_problem();
-    const auto parallel = ChainOfTrees{}.set_parallel(options).solve(p_par);
-    expect_identical(parallel.solutions, sequential.solutions, "multi-group");
-    expect_same_effort(parallel.stats, sequential.stats, "multi-group");
-    EXPECT_GE(parallel.stats.parallel_tasks, 3u);  // >= one per group subtree
+std::string solve_error(const Solver& solver) {
+  csp::Problem p = throwing_problem();
+  try {
+    solver.solve(p);
+  } catch (const std::runtime_error& e) {
+    return e.what();
   }
+  return "no exception";
 }
 
-TEST(ChainOfTreesParallelTest, PyAtfModeStaysSequential) {
-  // Interpreter-overhead mode models a Python data flow that cannot be
-  // parallelized; set_parallel must be a no-op there, not a crash.
-  csp::Problem p_seq = multi_group_problem();
-  const auto sequential = ChainOfTrees("pyATF").solve(p_seq);
-  SolverOptions options;
-  options.threads = 8;
-  csp::Problem p_par = multi_group_problem();
-  const auto parallel = ChainOfTrees("pyATF").set_parallel(options).solve(p_par);
-  expect_identical(parallel.solutions, sequential.solutions, "pyATF");
-  expect_same_effort(parallel.stats, sequential.stats, "pyATF");
-  EXPECT_EQ(parallel.stats.parallel_workers, 0u);
+}  // namespace
+
+// A constraint that throws inside a worker's subtree must surface from
+// solve() as the same exception the sequential solver throws, after every
+// worker has stopped — not escape a worker thread and abort the process.
+TEST(ParallelBacktrackingSplit, ThrowingConstraintPropagates) {
+  ASSERT_EQ(solve_error(OptimizedBacktracking{}), "a == 7");
+  for (std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(solve_error(ParallelBacktracking(threads)), "a == 7")
+        << "threads " << threads;
+  }
 }
 
 // --- SolutionSet sharding primitives ------------------------------------------

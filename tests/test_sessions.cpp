@@ -1,6 +1,6 @@
 // Tests for the concurrent multi-session runtime: SharedEvalCache,
 // SessionManager (shared spaces, shared measurements, determinism vs the
-// isolated run_tuning path), the Portfolio lockstep race, and the
+// isolated run_session path), the Portfolio lockstep race, and the
 // shared-ownership SubSpace handoff.
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "tunespace/searchspace/view.hpp"
 #include "tunespace/tuner/runner.hpp"
 #include "tunespace/tuner/session.hpp"
+#include "tunespace/util/rng.hpp"
 
 using namespace tunespace;
 
@@ -103,29 +104,18 @@ TEST(SharedEvalCache, FirstInsertWins) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// --- run_session vs the deprecated shims ------------------------------------
-
-TEST(SessionLoop, DeprecatedShimsMatchRunSession) {
-  // Dedicated shim test: the [[deprecated]] entry points must forward to
-  // run_session with identical results until they are removed (see
-  // CONTRIBUTING.md).
-  const auto spec = small_spec();
-  const searchspace::SearchSpace space(spec);
-  tuner::HotspotModel model;
-  tuner::RandomSearch rs1, rs2;
-  const tuner::Method method = tuner::optimized_method();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto via_loop = tuner::run_session_loop(
-      space, "optimized", space.construction_seconds(), model, rs1,
-      fixed_options(17));
-  const auto via_run_tuning =
-      tuner::run_tuning(spec, method, model, rs2, fixed_options(17));
-#pragma GCC diagnostic pop
-  const auto canonical = isolated_run(spec, 17);
-  EXPECT_EQ(via_loop, canonical);
-  EXPECT_EQ(via_run_tuning, canonical);
+TEST(SharedEvalCache, FingerprintKeepsThePersistedMixOrder) {
+  // Persisted eval_cache.tsv files are keyed by this value, so the
+  // (space, model, objective set) mix order must never change.
+  const searchspace::SearchSpace space(small_spec());
+  const tuner::HotspotModel model;
+  const tuner::ObjectiveSpec objectives;
+  EXPECT_EQ(tuner::eval_cache_fingerprint(space, model, objectives),
+            util::mix64(util::mix64(space.fingerprint(), model.fingerprint()),
+                        objectives.fingerprint()));
 }
+
+// --- run_session --------------------------------------------------------------
 
 TEST(SessionLoop, SharedCacheDoesNotChangeTheResult) {
   const auto spec = small_spec();
@@ -274,21 +264,6 @@ TEST(SessionManager, BuildFailuresPropagate) {
   std::vector<tuner::SessionRequest> requests;
   requests.push_back(std::move(request));
   EXPECT_THROW(manager.run_all(std::move(requests)), std::exception);
-}
-
-TEST(SessionManager, SharingDisabledStillCorrect) {
-  tuner::SessionManagerOptions options;
-  options.share_spaces = false;
-  options.share_evaluations = false;
-  tuner::SessionManager manager(options);
-  std::vector<tuner::SessionRequest> requests;
-  requests.push_back(request_for(small_spec(), 21));
-  requests.push_back(request_for(small_spec(), 22));
-  const auto results = manager.run_all(std::move(requests));
-  EXPECT_EQ(manager.spaces_built(), 2u);
-  EXPECT_EQ(manager.eval_cache().hits() + manager.eval_cache().misses(), 0u);
-  EXPECT_EQ(results[0].run, isolated_run(small_spec(), 21));
-  EXPECT_EQ(results[1].run, isolated_run(small_spec(), 22));
 }
 
 // --- Portfolio --------------------------------------------------------------

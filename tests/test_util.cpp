@@ -1,12 +1,19 @@
-// Tests for RNG, timers, and table/format helpers.
+// Tests for RNG, timers, table/format helpers and the parallel_for task loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "tunespace/util/rng.hpp"
 #include "tunespace/util/table.hpp"
 #include "tunespace/util/timer.hpp"
+#include "util/parallel_for.hpp"
 
 using namespace tunespace::util;
 
@@ -145,4 +152,106 @@ TEST(FormatTest, Sparkline) {
   EXPECT_TRUE(sparkline({}).empty());
   // Constant input renders at the lowest level without crashing.
   EXPECT_FALSE(sparkline({2, 2, 2}).empty());
+}
+
+// --- parallel_for -------------------------------------------------------------
+
+TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
+  for (std::size_t count : {0u, 1u, 2u, 3u, 7u, 64u, 1000u}) {
+    for (std::size_t workers : {0u, 1u, 2u, 3u, 4u, 8u, 16u}) {
+      std::vector<std::atomic<int>> runs(count);
+      const std::size_t used = parallel_for(
+          count, workers, [&](std::size_t, std::size_t i) { runs[i].fetch_add(1); });
+      EXPECT_EQ(used, std::min(std::max<std::size_t>(workers, 1), count))
+          << count << " indices, " << workers << " workers";
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "index " << i << " of " << count << ", "
+                                     << workers << " workers";
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, WorkerIdsStayBelowTheReturnedCount) {
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    std::vector<std::size_t> worker_of(200);
+    const std::size_t used = parallel_for(
+        worker_of.size(), workers,
+        [&](std::size_t w, std::size_t i) { worker_of[i] = w; });
+    EXPECT_EQ(used, workers);
+    for (std::size_t w : worker_of) EXPECT_LT(w, used);
+  }
+}
+
+TEST(ParallelForTest, OneWorkerRunsOnTheCallingThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  // One worker requested, and more workers requested than indices exist.
+  for (auto [count, workers] : {std::pair<std::size_t, std::size_t>{5, 1}, {1, 8}}) {
+    std::vector<std::thread::id> ran_on(count);
+    const std::size_t used =
+        parallel_for(count, workers, [&](std::size_t w, std::size_t i) {
+          EXPECT_EQ(w, 0u);
+          ran_on[i] = std::this_thread::get_id();
+        });
+    EXPECT_EQ(used, 1u);
+    for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
+  }
+}
+
+TEST(ParallelForTest, ExceptionStopsNewIndicesInline) {
+  std::vector<std::size_t> started;
+  EXPECT_THROW(parallel_for(100, 1,
+                            [&](std::size_t, std::size_t i) {
+                              started.push_back(i);
+                              if (i == 5) throw std::runtime_error("index 5");
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(started, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+// Index 0 throws while other workers are mid-index.  Its worker must start
+// no further index, and the exception must reach the caller only after the
+// indices in flight on the other workers have finished and their threads
+// joined.
+TEST(ParallelForTest, ExceptionArrivesAfterEveryThreadJoined) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kCount = 1000;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> thrown{false};
+  std::atomic<int> in_flight{0};
+  std::atomic<std::size_t> others_started{0};
+  std::atomic<std::size_t> thrower{kWorkers};
+  std::vector<std::vector<std::size_t>> started(kWorkers);  // per worker
+  bool caught = false;
+  try {
+    parallel_for(kCount, kWorkers, [&](std::size_t w, std::size_t i) {
+      started[w].push_back(i);
+      ++in_flight;
+      if (i == 0) {
+        thrower = w;
+        while (others_started == 0) std::this_thread::yield();
+        thrown = true;
+        --in_flight;
+        throw std::runtime_error("index 0");
+      }
+      ++others_started;
+      while (!thrown) std::this_thread::yield();
+      // Indices on started threads outlast the calling thread's, so an
+      // exception rethrown before the join would find them still running.
+      if (std::this_thread::get_id() != caller) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      --in_flight;
+    });
+  } catch (const std::runtime_error& e) {
+    caught = true;
+    EXPECT_STREQ(e.what(), "index 0");
+    EXPECT_EQ(in_flight, 0);  // nothing still running
+  }
+  ASSERT_TRUE(caught);
+  ASSERT_LT(thrower, kWorkers);
+  EXPECT_EQ(started[thrower], (std::vector<std::size_t>{0}));
+  std::size_t total = 0;
+  for (const auto& indices : started) total += indices.size();
+  EXPECT_LT(total, kCount);
 }
