@@ -18,12 +18,7 @@ Program::Program(std::vector<Instr> code, std::vector<Value> consts,
       consts_(std::move(consts)),
       tuple_consts_(std::move(tuple_consts)),
       var_names_(std::move(var_names)),
-      identity_slots_(var_names_.size()),
-      max_stack_(max_stack) {
-  for (std::size_t i = 0; i < identity_slots_.size(); ++i) {
-    identity_slots_[i] = static_cast<std::uint32_t>(i);
-  }
-}
+      max_stack_(max_stack) {}
 
 Value Program::run(const Value* values, const std::uint32_t* slot_map) const {
   // Stack storage sized to the compiler-computed maximum depth: a tiny
@@ -229,10 +224,6 @@ Value Program::run_on(Value* stack, const Value* values,
 
 bool Program::run_bool(const Value* values, const std::uint32_t* slot_map) const {
   return run(values, slot_map).truthy();
-}
-
-Value Program::run_dense(const std::vector<Value>& values) const {
-  return run(values.data(), identity_slots_.data());
 }
 
 std::string Program::disassemble() const {

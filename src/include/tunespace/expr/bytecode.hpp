@@ -79,9 +79,6 @@ class Program {
   /// Execute and coerce the result to truthiness.
   bool run_bool(const csp::Value* values, const std::uint32_t* slot_map) const;
 
-  /// Convenience for tests: run with slots mapped to [0..n) over `values`.
-  csp::Value run_dense(const std::vector<csp::Value>& values) const;
-
   /// Human-readable disassembly for debugging and the Fig. 1 pipeline demo.
   std::string disassemble() const;
 
@@ -93,7 +90,6 @@ class Program {
   std::vector<csp::Value> consts_;
   std::vector<std::vector<csp::Value>> tuple_consts_;
   std::vector<std::string> var_names_;
-  std::vector<std::uint32_t> identity_slots_;  ///< cached run_dense slot map
   std::size_t max_stack_ = 0;
 };
 

@@ -6,11 +6,11 @@
 // With a resolved space these are exact hash lookups; dynamic approaches
 // would have to re-check constraints per candidate.
 //
-// The SubSpace overloads answer the same queries inside a tune-time
-// restriction: neighbourhoods are defined over the view's own present
-// values and membership, and rows are the view's local ids — so an
-// optimizer sees a restricted view exactly as it would see a space built
-// with the restriction as a constraint.
+// Every query takes a SubSpace: neighbourhoods are defined over the view's
+// own present values and membership, and rows are the view's local ids — so
+// an optimizer sees a restricted view exactly as it would see a space built
+// with the restriction as a constraint.  A SearchSpace converts implicitly
+// to its whole-space view, whose local ids are the space's row ids.
 
 #include <cstddef>
 #include <vector>
@@ -28,20 +28,14 @@ enum class NeighborMethod {
   StrictlyAdjacent ///< like Adjacent but over the full declared value order
 };
 
-/// Row ids of all valid neighbours of `row` under `method`.
-std::vector<std::size_t> neighbors_of(const SearchSpace& space, std::size_t row,
-                                      NeighborMethod method = NeighborMethod::Hamming1);
-/// View overload: neighbours within the view, as local row ids.
+/// Local ids of all neighbours of `row` within the view under `method`.
 std::vector<std::size_t> neighbors_of(const SubSpace& view, std::size_t row,
                                       NeighborMethod method = NeighborMethod::Hamming1);
 
-/// Row ids of valid configurations at Hamming distance <= `max_distance`
-/// from `row` (excluding `row` itself).  Exponential in max_distance; meant
-/// for small distances (1-3) as used by genetic-algorithm mutation.
-std::vector<std::size_t> neighbors_within_hamming(const SearchSpace& space,
-                                                  std::size_t row,
-                                                  std::size_t max_distance);
-/// View overload (local row ids, view membership).
+/// Local ids of the view's configurations at Hamming distance <=
+/// `max_distance` from `row` (excluding `row` itself).  Exponential in
+/// max_distance; meant for small distances (1-3) as used by
+/// genetic-algorithm mutation.
 std::vector<std::size_t> neighbors_within_hamming(const SubSpace& view,
                                                   std::size_t row,
                                                   std::size_t max_distance);
@@ -50,7 +44,6 @@ std::vector<std::size_t> neighbors_within_hamming(const SubSpace& view,
 /// before running the algorithm", §4.4).
 class NeighborIndex {
  public:
-  NeighborIndex(const SearchSpace& space, NeighborMethod method);
   /// Adjacency of a view, in local row ids.
   NeighborIndex(const SubSpace& view, NeighborMethod method);
 

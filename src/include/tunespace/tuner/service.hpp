@@ -64,9 +64,6 @@ struct TuningServiceOptions {
   /// When non-empty: snapshots live in <state_dir>/snapshots and the shared
   /// eval cache persists to <state_dir>/eval_cache.tsv across restarts.
   std::string state_dir;
-  /// Underlying manager configuration; snapshot_cache_dir is derived from
-  /// state_dir and overrides whatever is set here.
-  SessionManagerOptions manager;
 };
 
 /// Multi-tenant ask/tell tuning service.  Thread-safe: entry points may be

@@ -14,42 +14,47 @@
 //                     sharing never changes a session's result — it only
 //                     skips redundant model work.
 //
-//   SessionStepper    the single session core, inverted into a resumable
-//                     ask/tell state machine: suggest() yields the next
-//                     configuration to measure, report() feeds the
-//                     measurement back and advances the virtual clock,
-//                     budget accounting, trajectory and shared-cache
-//                     interaction.  run_session, the SessionManager
-//                     workers, the Portfolio members and the TuningService
-//                     (service.hpp) all run their sessions through it — the
-//                     session semantics exist exactly once.
+//   run_session       the closed loop: takes one SessionRequest, runs the
+//                     optimizer on the calling thread, answers every
+//                     evaluation the session cannot serve from its memo or
+//                     the shared cache with PerformanceModel::measure, and
+//                     returns the finished TuningRun (trajectory + Pareto
+//                     front).
 //
-//   run_session       the closed-loop driver over a SessionStepper: takes
-//                     one SessionRequest, asks, answers each suggestion
-//                     with PerformanceModel::measure, and returns the
-//                     finished TuningRun (trajectory + Pareto front).
+//   SessionStepper    the same session inverted into a resumable ask/tell
+//                     state machine for callers that own the measurement
+//                     (the TuningService, service.hpp): suggest() yields the
+//                     next configuration to measure, report() feeds the
+//                     measurement back.  The optimizer runs unchanged on a
+//                     private worker thread, the one thread a session owns.
 //
-//   SessionManager    schedules many TuningSessions over a worker pool.
-//                     Sessions whose spec + method hash to the same
-//                     fingerprint share one immutable SearchSpace: the
-//                     first session to need it builds it (optionally via
-//                     SearchSpace::load_or_build when a snapshot cache
-//                     directory is configured) and every other session
-//                     blocks on the same shared_future instead of
-//                     re-solving.  Results are byte-deterministic per
-//                     session for a fixed seed, independent of the worker
-//                     count and of which sessions run concurrently.
+//                     Both run one session core (session.cpp) —
+//                     virtual clock, budget and overhead accounting, memo,
+//                     shared-cache interaction, trajectory, Pareto front and
+//                     warm-start seeding — and differ only in the call that
+//                     fetches a missing measurement, so the session
+//                     semantics exist exactly once.
+//
+//   SessionManager    schedules many TuningSessions over a worker pool, each
+//                     worker running run_session inline.  Sessions whose
+//                     spec + method hash to the same fingerprint share one
+//                     immutable SearchSpace: the first session to need it
+//                     builds it (optionally via SearchSpace::load_or_build
+//                     when a snapshot cache directory is configured) and
+//                     every other session blocks on the same shared_future
+//                     instead of re-solving.  Results are byte-deterministic
+//                     per session for a fixed seed, independent of the
+//                     worker count and of which sessions run concurrently.
 //
 //   run_portfolio     races N optimizers (seed-split from one root seed)
 //                     over the same view with a shared best-so-far and an
-//                     early-stop rule.  Members run on real threads but
-//                     their evaluations are serialized in *virtual-time*
-//                     order by a lockstep scheduler (ties broken by member
-//                     index), so the shared best, the early stop and every
-//                     member trajectory are reproducible bit-for-bit
-//                     regardless of thread scheduling.
+//                     early-stop rule.  Each member runs its closed loop on
+//                     its own thread, but their evaluations are serialized
+//                     in *virtual-time* order by a lockstep scheduler (ties
+//                     broken by member index), so the shared best, the early
+//                     stop and every member trajectory are reproducible
+//                     bit-for-bit regardless of thread scheduling.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -144,21 +149,7 @@ struct SessionStats {
   std::uint64_t surrogate_refits = 0;     ///< model-based optimizer refits
 };
 
-/// Internal hooks the Portfolio scheduler injects into the session loop;
-/// default-constructed hooks are inert (the plain run_session path).
-struct SessionHooks {
-  /// Blocks until this session may perform its next evaluation request
-  /// (the lockstep virtual-time turnstile); called with the current
-  /// virtual time before any budget is charged.
-  std::function<void(double now)> before_request;
-  /// Observes each completed (non-memoized) evaluation at its virtual time.
-  /// `score` is the session's scalarized objective value (exactly the
-  /// measured gflops for single-objective sessions), so the portfolio race
-  /// compares members on one shared axis regardless of objective count.
-  std::function<void(std::size_t local_row, double score, double now)> on_eval;
-  /// Extra stop predicate OR-ed into the budget check (shared early stop).
-  std::function<bool(double now)> stop;
-};
+class SessionCore;  // one session's state and request flow (session.cpp)
 
 /// A configuration the stepper wants measured.
 struct Suggestion {
@@ -167,18 +158,18 @@ struct Suggestion {
   csp::Config config;            ///< values in declared parameter order
 };
 
-/// The session core inverted into a resumable ask/tell state machine.
+/// A session driven from outside: the ask/tell state machine.
 ///
-/// A SessionStepper owns one session's virtual clock, budget and overhead
-/// accounting, trajectory, session-local memo and shared-eval-cache
-/// interaction.  The optimizer runs unchanged on a private worker thread;
-/// whenever it requests an evaluation the stepper either satisfies it
-/// internally (session memo, shared cache — both charge the clock exactly
-/// as the closed loop did) or parks the worker and surfaces the
-/// configuration through suggest().  report() feeds the measurement back,
-/// resumes the worker and returns once it parks at the next request (or
-/// finishes), so between any two public calls the machine is quiescent and
-/// every accessor is safe.
+/// A SessionStepper runs the same session core as run_session — virtual
+/// clock, budget and overhead accounting, trajectory, session-local memo and
+/// shared-eval-cache interaction — with the optimizer unchanged on a private
+/// worker thread.  Whenever the optimizer requests an evaluation the core
+/// either satisfies it internally (session memo, shared cache — both charge
+/// the clock exactly as the closed loop does) or the stepper parks the
+/// worker and surfaces the configuration through suggest().  report() feeds
+/// the measurement back, resumes the worker and returns once it parks at the
+/// next request (or finishes), so between any two public calls the machine
+/// is quiescent and every accessor is safe.
 ///
 /// Contract (enforced with ServiceError):
 ///   - suggest() and report() strictly alternate: report() without an
@@ -187,8 +178,8 @@ struct Suggestion {
 ///     nullopt (idempotently) and report() throws kSessionFinished.
 ///   - Replay is deterministic: driving the stepper with the same view,
 ///     optimizer, options and measurement sequence reproduces the same
-///     suggestions and the same TuningRun bit-for-bit — run_session is
-///     exactly such a drive, so an ask/tell replay matches the closed loop.
+///     suggestions and the same TuningRun bit-for-bit, so answering every
+///     suggestion with the model matches run_session exactly.
 ///   - A measurement reported for (view, cache_fingerprint) becomes visible
 ///     to every other session sharing the cache the moment report() charges
 ///     it; later sessions hitting the entry still charge full evaluation
@@ -201,16 +192,15 @@ class SessionStepper {
   /// used to charge shared-cache hits, which never reach the reporter.
   using CostFn = std::function<double(const Measurement& measurement)>;
 
-  /// `optimizer`, `stats` and everything captured by `cost` and `hooks`
-  /// must outlive the stepper.  The constructor runs the optimizer up to
-  /// its first evaluation request (or to completion, for an empty view or
-  /// an exhausted budget).
+  /// `optimizer`, `stats` and everything captured by `cost` must outlive the
+  /// stepper.  The constructor runs the optimizer up to its first evaluation
+  /// request (or to completion, for an empty view or an exhausted budget).
   SessionStepper(searchspace::SubSpace view, std::string method_name,
                  double construction_seconds, Optimizer& optimizer,
                  const TuningOptions& options, CostFn cost,
                  SharedEvalCache* shared_cache = nullptr,
                  std::uint64_t cache_fingerprint = 0,
-                 SessionStats* stats = nullptr, SessionHooks hooks = {});
+                 SessionStats* stats = nullptr);
   ~SessionStepper();  // cancels a still-live session
   SessionStepper(const SessionStepper&) = delete;
   SessionStepper& operator=(const SessionStepper&) = delete;
@@ -238,80 +228,48 @@ class SessionStepper {
 
   bool awaiting_report() const { return awaiting_report_; }
   bool finished() const { return finished_; }
-  double now() const { return clock_.now(); }  ///< session virtual time
-  const searchspace::SubSpace& view() const { return view_; }
-  const std::vector<std::string>& param_names() const { return names_; }
+  double now() const;  ///< session virtual time
+  const searchspace::SubSpace& view() const;
+  const std::vector<std::string>& param_names() const;
   /// The run so far (final once finished()); valid between public calls.
-  const TuningRun& run() const { return run_; }
+  const TuningRun& run() const;
   /// Move the finished run out; requires finished().
   TuningRun take_run();
   /// Best measured configuration so far; nullopt before the first
   /// improvement.
-  const std::optional<Suggestion>& best() const { return best_; }
+  const std::optional<Suggestion>& best() const;
   /// Warm-start observations charged before the optimizer started (empty
   /// for cold sessions): view-local rows with their masked measurements, in
   /// seeding order.
-  const std::vector<std::pair<std::size_t, Measurement>>& seeded() const {
-    return seeded_;
-  }
+  const std::vector<std::pair<std::size_t, Measurement>>& seeded() const;
 
  private:
-  struct Reply {
-    Measurement measurement{};
-    double cost_seconds = -1;
-  };
-
-  // Optimizer-facing (worker thread): the full request flow — overhead,
-  // memo, budget, shared cache or rendezvous, clock charge, trajectory and
-  // Pareto-front upkeep — returning the masked measurement.  evaluate() is
-  // its scalarized view, the fitness the legacy optimizers consume.
-  Measurement measure_row(std::size_t row);
-  double evaluate(std::size_t row);
-  void seed_from_cache();  // TuningOptions::warm_start, before the worker
-  void update_front(std::size_t row, std::uint64_t parent_row,
-                    const Measurement& measurement);
-  Reply yield_ask(Suggestion ask);       // park the worker, wait for report
   void wait_parked(std::unique_lock<std::mutex>& lock);
-  void finalize();                       // join + rethrow a worker error
+  void finalize();  // join + rethrow a worker error
 
-  searchspace::SubSpace view_;
-  TuningOptions options_;
-  Optimizer* optimizer_;
-  CostFn cost_;
-  SharedEvalCache* shared_cache_;
-  std::uint64_t cache_fingerprint_;
-  SessionStats* stats_;
-  SessionHooks hooks_;
-  std::vector<std::string> names_;
-  util::VirtualClock clock_;
-  util::WallTimer wall_;
-  util::Rng rng_;
-  std::unordered_map<std::size_t, Measurement> memo_;
-  TuningRun run_;
-  std::optional<Suggestion> best_;
-  std::vector<std::pair<std::size_t, Measurement>> seeded_;
+  std::unique_ptr<SessionCore> core_;
 
   // Rendezvous between the driver (public methods) and the worker thread.
   // All flags below are guarded by mutex_; outside a public call the worker
-  // is parked in yield_ask or has set done_, so the driver-side reads of
-  // run_/clock_/best_ race with nothing.
-  std::thread worker_;
+  // is parked waiting for a report or has set done_, so reads of the core
+  // from the public methods race with nothing.
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::optional<Suggestion> pending_;  ///< parked ask not yet consumed
-  Reply reply_;
+  std::pair<Measurement, double> reply_;  ///< reported vector and seconds
   bool resume_ = false;
-  std::atomic<bool> abort_{false};
+  bool abort_ = false;
   bool done_ = false;
   std::exception_ptr worker_error_;
   bool awaiting_report_ = false;
   bool finished_ = false;
+  std::thread worker_;  // last: runs the core against everything above
 };
 
 /// One tuning session, for run_session and the SessionManager — the single
 /// options struct every tuning path is phrased in.  Exactly one source of
-/// the space must be set: either `spec` (+ optional `make_method`) for a
-/// fresh construction, or `view` for an already-resolved space or a
+/// the space must be set: either `spec` (+ optional `method`) for a fresh
+/// construction, or `view` for an already-resolved space or a
 /// restriction of one.  The optimizer likewise comes from either
 /// `make_optimizer` (owning; preferred, and required under a
 /// SessionManager, whose workers need a fresh instance per run) or
@@ -324,13 +282,9 @@ struct SessionRequest {
   /// Optional tune-time restriction applied to the (shared) space; the
   /// trivial predicate tunes over the whole space.
   searchspace::query::Predicate restriction;
-  /// Optional construction-method override; null uses the manager's
-  /// default (the optimized method).  Sessions share a space iff their
-  /// (spec, method) fingerprints match.
-  std::function<Method()> make_method;
-  /// Non-owning method alternative to make_method (Method is move-only, so
-  /// callers holding one lend it instead of wrapping it in a factory); must
-  /// outlive the call and wins over make_method when both are set.
+  /// Optional construction method, lent by the caller (Method is
+  /// move-only) and outliving the call; null uses the optimized method.
+  /// Sessions share a space iff their (spec, method) fingerprints match.
   const Method* method = nullptr;
   /// Pre-resolved space (or restriction) to tune over instead of
   /// constructing one from `spec`; rows in the run are the view's local
@@ -356,15 +310,15 @@ struct SessionRequest {
   SharedEvalCache* shared_cache = nullptr;
   std::uint64_t cache_fingerprint = 0;
   SessionStats* stats = nullptr;  ///< optional observability sink
-  SessionHooks hooks;             ///< portfolio/lockstep injection points
 };
 
 /// Run one tuning session described by a SessionRequest: resolve the space
-/// (construct from `spec` or adopt `view`), drive the optimizer through a
-/// SessionStepper closed loop answering every suggestion with
-/// model->measure(), and return the finished TuningRun.  This is the one
-/// canonical entry point; the SessionManager workers and the Portfolio
-/// members phrase themselves as SessionRequests too.
+/// (construct from `spec` or adopt `view`), run the optimizer on the calling
+/// thread, answer every evaluation the session cannot serve from its memo or
+/// the shared cache with model->measure(), and return the finished
+/// TuningRun.  This is the one canonical entry point; the SessionManager
+/// workers and the Portfolio members phrase themselves as SessionRequests
+/// too.
 TuningRun run_session(const SessionRequest& request);
 
 /// Convenience builders for the common shapes.  The returned request

@@ -6,8 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <locale>
-#include <random>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -17,6 +18,7 @@
 #endif
 
 #include "tunespace/util/timer.hpp"
+#include "util/atomic_file.hpp"
 
 namespace tunespace::searchspace {
 
@@ -568,51 +570,15 @@ void save_snapshot(const SearchSpace& space, const std::string& path) {
     offset += sizes[s];
   }
 
-  // Unique temp name per writer: concurrent processes missing the same
-  // cache entry must not interleave writes into one temp file — each writes
-  // its own and the rename publishes whichever finishes last, atomically.
-  std::random_device rd;
-  const std::string tmp = path + ".tmp-" + std::to_string(rd());
-  try {
-    {
-      std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-      if (!file) throw std::runtime_error("cannot open for writing: " + tmp);
-      file.write(header.out.data(),
-                 static_cast<std::streamsize>(header.out.size()));
-      for (std::size_t s = 0; s < kSectionCount; ++s) {
-        for (const Piece& piece : pieces[s]) {
-          file.write(static_cast<const char*>(piece.data),
-                     static_cast<std::streamsize>(piece.size));
-        }
-      }
-      file.flush();
-      if (!file) throw std::runtime_error("write failed: " + tmp);
+  // Concurrent processes missing the same cache entry each write their own
+  // temp file; the rename publishes whichever finishes last, atomically.
+  std::vector<std::span<const char>> bytes{{header.out.data(), header.out.size()}};
+  for (std::size_t s = 0; s < kSectionCount; ++s) {
+    for (const Piece& piece : pieces[s]) {
+      bytes.push_back({static_cast<const char*>(piece.data), piece.size});
     }
-#if !defined(_WIN32)
-    // Flush the payload (and the directory entry after the rename) to disk
-    // before publishing: without the fsync a crash can journal the rename
-    // while losing the data blocks, leaving a well-formed header over
-    // zeroed payload pages — which the trusting kShape cache load would
-    // not detect.
-    if (const int fd = ::open(tmp.c_str(), O_RDONLY); fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-#endif
-    std::filesystem::rename(tmp, path);  // atomic publish
-#if !defined(_WIN32)
-    const std::string dir = std::filesystem::path(path).parent_path().string();
-    if (const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-        fd >= 0) {
-      ::fsync(fd);
-      ::close(fd);
-    }
-#endif
-  } catch (...) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
   }
+  util::write_file_atomically(path, bytes);
 }
 
 SearchSpace load_snapshot(const tuner::TuningProblem& spec,

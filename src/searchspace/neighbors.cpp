@@ -6,19 +6,15 @@ namespace tunespace::searchspace {
 
 namespace {
 
-// One generic implementation serves the SearchSpace and SubSpace overloads:
-// both expose num_params / problem / present_values / indices / find over
-// their own row ids (parent rows for a space, local ids for a view), which
-// is all the neighbourhood walk needs.  A view's present values and find()
-// are membership-aware, so its neighbourhoods match those of a space built
-// with the restriction as a constraint.
+// A view's present values and find() are membership-aware, so its
+// neighbourhoods match those of a space built with the restriction as a
+// constraint.
 
 // Candidate alternative value indices for parameter p given current vi.
-template <typename SpaceLike>
-void alternative_values(const SpaceLike& space, std::size_t p, std::uint32_t vi,
+void alternative_values(const SubSpace& view, std::size_t p, std::uint32_t vi,
                         NeighborMethod method, std::vector<std::uint32_t>& out) {
   out.clear();
-  const auto& present = space.present_values(p);
+  const auto& present = view.present_values(p);
   switch (method) {
     case NeighborMethod::Hamming1:
       for (std::uint32_t alt : present) {
@@ -37,7 +33,7 @@ void alternative_values(const SpaceLike& space, std::size_t p, std::uint32_t vi,
       return;
     }
     case NeighborMethod::StrictlyAdjacent: {
-      const std::size_t domain_size = space.problem().domain(p).size();
+      const std::size_t domain_size = view.problem().domain(p).size();
       if (vi > 0) out.push_back(vi - 1);
       if (vi + 1 < domain_size) out.push_back(vi + 1);
       return;
@@ -45,83 +41,52 @@ void alternative_values(const SpaceLike& space, std::size_t p, std::uint32_t vi,
   }
 }
 
-template <typename SpaceLike>
-std::vector<std::size_t> neighbors_impl(const SpaceLike& space, std::size_t row,
-                                        NeighborMethod method) {
-  std::vector<std::size_t> result;
-  std::vector<std::uint32_t> indices = space.indices(row);
-  std::vector<std::uint32_t> alts;
-  for (std::size_t p = 0; p < space.num_params(); ++p) {
-    const std::uint32_t original = indices[p];
-    alternative_values(space, p, original, method, alts);
-    for (std::uint32_t alt : alts) {
-      indices[p] = alt;
-      if (auto r = space.find(indices)) result.push_back(*r);
-    }
-    indices[p] = original;
-  }
-  return result;
-}
-
-template <typename SpaceLike>
-void hamming_recurse(const SpaceLike& space, std::vector<std::uint32_t>& indices,
+void hamming_recurse(const SubSpace& view, std::vector<std::uint32_t>& indices,
                      std::size_t start_param, std::size_t remaining,
                      std::vector<std::size_t>& out) {
-  for (std::size_t p = start_param; p < space.num_params(); ++p) {
+  for (std::size_t p = start_param; p < view.num_params(); ++p) {
     const std::uint32_t original = indices[p];
-    for (std::uint32_t alt : space.present_values(p)) {
+    for (std::uint32_t alt : view.present_values(p)) {
       if (alt == original) continue;
       indices[p] = alt;
-      if (auto r = space.find(indices)) out.push_back(*r);
+      if (auto r = view.find(indices)) out.push_back(*r);
       if (remaining > 1) {
-        hamming_recurse(space, indices, p + 1, remaining - 1, out);
+        hamming_recurse(view, indices, p + 1, remaining - 1, out);
       }
     }
     indices[p] = original;
   }
 }
 
-template <typename SpaceLike>
-std::vector<std::size_t> within_hamming_impl(const SpaceLike& space, std::size_t row,
-                                             std::size_t max_distance) {
-  std::vector<std::size_t> out;
-  if (max_distance == 0) return out;
-  std::vector<std::uint32_t> indices = space.indices(row);
-  hamming_recurse(space, indices, 0, max_distance, out);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 }  // namespace
-
-std::vector<std::size_t> neighbors_of(const SearchSpace& space, std::size_t row,
-                                      NeighborMethod method) {
-  return neighbors_impl(space, row, method);
-}
 
 std::vector<std::size_t> neighbors_of(const SubSpace& view, std::size_t row,
                                       NeighborMethod method) {
-  return neighbors_impl(view, row, method);
-}
-
-std::vector<std::size_t> neighbors_within_hamming(const SearchSpace& space,
-                                                  std::size_t row,
-                                                  std::size_t max_distance) {
-  return within_hamming_impl(space, row, max_distance);
+  std::vector<std::size_t> result;
+  std::vector<std::uint32_t> indices = view.indices(row);
+  std::vector<std::uint32_t> alts;
+  for (std::size_t p = 0; p < view.num_params(); ++p) {
+    const std::uint32_t original = indices[p];
+    alternative_values(view, p, original, method, alts);
+    for (std::uint32_t alt : alts) {
+      indices[p] = alt;
+      if (auto r = view.find(indices)) result.push_back(*r);
+    }
+    indices[p] = original;
+  }
+  return result;
 }
 
 std::vector<std::size_t> neighbors_within_hamming(const SubSpace& view,
                                                   std::size_t row,
                                                   std::size_t max_distance) {
-  return within_hamming_impl(view, row, max_distance);
-}
-
-NeighborIndex::NeighborIndex(const SearchSpace& space, NeighborMethod method) {
-  lists_.resize(space.size());
-  for (std::size_t r = 0; r < space.size(); ++r) {
-    lists_[r] = neighbors_of(space, r, method);
-  }
+  std::vector<std::size_t> out;
+  if (max_distance == 0) return out;
+  std::vector<std::uint32_t> indices = view.indices(row);
+  hamming_recurse(view, indices, 0, max_distance, out);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 NeighborIndex::NeighborIndex(const SubSpace& view, NeighborMethod method) {

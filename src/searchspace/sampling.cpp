@@ -7,12 +7,6 @@
 
 namespace tunespace::searchspace {
 
-std::vector<std::size_t> random_sample(const SearchSpace& space, std::size_t count,
-                                       util::Rng& rng) {
-  count = std::min(count, space.size());
-  return rng.sample_indices(space.size(), count);
-}
-
 std::vector<std::size_t> random_sample(const SubSpace& view, std::size_t count,
                                        util::Rng& rng) {
   count = std::min(count, view.size());
@@ -21,67 +15,36 @@ std::vector<std::size_t> random_sample(const SubSpace& view, std::size_t count,
 
 namespace {
 
-// The sampling algorithms are generic over "space-like" types: a resolved
-// SearchSpace and a SubSpace view expose the same row-addressed surface
-// (size / num_params / problem / value_index / present_values / find), so
-// one implementation serves both — rows are parent row ids for a
-// SearchSpace and local ids for a view.  The only customization point is
-// how posting-list candidates are enumerated: a view walks the parent's
-// posting list and keeps its members.
-
-template <typename SpaceLike>
-double l1_distance(const SpaceLike& space, std::size_t row,
+double l1_distance(const SubSpace& view, std::size_t row,
                    const std::vector<std::uint32_t>& target) {
   double d = 0;
-  for (std::size_t p = 0; p < space.num_params(); ++p) {
-    const double span = std::max<std::size_t>(1, space.problem().domain(p).size() - 1);
-    d += std::fabs(static_cast<double>(space.value_index(row, p)) -
+  for (std::size_t p = 0; p < view.num_params(); ++p) {
+    const double span = std::max<std::size_t>(1, view.problem().domain(p).size() - 1);
+    d += std::fabs(static_cast<double>(view.value_index(row, p)) -
                    static_cast<double>(target[p])) /
          static_cast<double>(span);
   }
   return d;
 }
 
-/// Upper bound on the number of rows parameter p takes value vi (exact for
-/// a SearchSpace; the parent's posting length for a view).
-std::size_t candidate_count(const SearchSpace& space, std::size_t p,
-                            std::uint32_t vi) {
-  return space.rows_with(p, vi).size();
-}
-std::size_t candidate_count(const SubSpace& view, std::size_t p, std::uint32_t vi) {
-  return view.parent().rows_with(p, vi).size();
-}
+}  // namespace
 
-/// Invoke fn(row) for every row of the space whose parameter p is vi.
-template <typename Fn>
-void for_each_candidate(const SearchSpace& space, std::size_t p, std::uint32_t vi,
-                        Fn&& fn) {
-  for (std::uint32_t r : space.rows_with(p, vi)) fn(static_cast<std::size_t>(r));
-}
-template <typename Fn>
-void for_each_candidate(const SubSpace& view, std::size_t p, std::uint32_t vi,
-                        Fn&& fn) {
-  for (std::uint32_t r : view.parent().rows_with(p, vi)) {
-    if (const auto local = view.local_of(r)) fn(*local);
-  }
-}
-
-template <typename SpaceLike>
-std::size_t snap_impl(const SpaceLike& space,
-                      const std::vector<std::uint32_t>& target) {
-  assert(!space.empty());
+std::size_t snap_to_valid(const SubSpace& view,
+                          const std::vector<std::uint32_t>& target) {
+  assert(!view.empty());
   // Exact hit first.
-  if (auto r = space.find(target)) return *r;
+  if (auto r = view.find(target)) return *r;
   // Scan the smallest posting list among the target coordinates; if the
   // target value of some parameter never occurs, use its nearest present
-  // value instead.
+  // value instead.  Posting lengths are the parent's (an upper bound on the
+  // view's, exact for a whole-space view).
   std::size_t best_param = 0;
   std::uint32_t best_vi = 0;
   std::size_t best_count = 0;
   bool have_list = false;
-  for (std::size_t p = 0; p < space.num_params(); ++p) {
+  for (std::size_t p = 0; p < view.num_params(); ++p) {
     std::uint32_t vi = target[p];
-    const auto& present = space.present_values(p);
+    const auto& present = view.present_values(p);
     if (!std::binary_search(present.begin(), present.end(), vi)) {
       // nearest present value by index distance
       std::uint32_t nearest = present.front();
@@ -93,7 +56,7 @@ std::size_t snap_impl(const SpaceLike& space,
       }
       vi = nearest;
     }
-    const std::size_t count = candidate_count(space, p, vi);
+    const std::size_t count = view.parent().rows_with(p, vi).size();
     if (!have_list || count < best_count) {
       best_param = p;
       best_vi = vi;
@@ -103,22 +66,23 @@ std::size_t snap_impl(const SpaceLike& space,
   }
   double best_d = std::numeric_limits<double>::infinity();
   std::size_t best_row = 0;
-  for_each_candidate(space, best_param, best_vi, [&](std::size_t r) {
-    const double d = l1_distance(space, r, target);
+  for (std::uint32_t parent_row : view.parent().rows_with(best_param, best_vi)) {
+    const auto r = view.local_of(parent_row);
+    if (!r) continue;
+    const double d = l1_distance(view, *r, target);
     if (d < best_d) {
       best_d = d;
-      best_row = r;
+      best_row = *r;
     }
-  });
+  }
   return best_row;
 }
 
-template <typename SpaceLike>
-std::vector<std::size_t> lhs_impl(const SpaceLike& space, std::size_t count,
-                                  util::Rng& rng) {
-  if (space.empty() || count == 0) return {};
-  count = std::min(count, space.size());
-  const std::size_t d = space.num_params();
+std::vector<std::size_t> latin_hypercube_sample(const SubSpace& view,
+                                                std::size_t count, util::Rng& rng) {
+  if (view.empty() || count == 0) return {};
+  count = std::min(count, view.size());
+  const std::size_t d = view.num_params();
 
   // Per-parameter stratum permutations over the present values.
   std::vector<std::vector<std::size_t>> strata(d);
@@ -132,7 +96,7 @@ std::vector<std::size_t> lhs_impl(const SpaceLike& space, std::size_t count,
   std::vector<std::uint32_t> target(d);
   for (std::size_t i = 0; i < count; ++i) {
     for (std::size_t p = 0; p < d; ++p) {
-      const auto& present = space.present_values(p);
+      const auto& present = view.present_values(p);
       // Map stratum -> a position within the present values (jittered).
       const double frac = (static_cast<double>(strata[p][i]) + rng.uniform()) /
                           static_cast<double>(count);
@@ -141,33 +105,11 @@ std::vector<std::size_t> lhs_impl(const SpaceLike& space, std::size_t count,
           static_cast<std::size_t>(frac * static_cast<double>(present.size())));
       target[p] = present[pos];
     }
-    rows.push_back(snap_impl(space, target));
+    rows.push_back(snap_to_valid(view, target));
   }
   std::sort(rows.begin(), rows.end());
   rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
   return rows;
-}
-
-}  // namespace
-
-std::size_t snap_to_valid(const SearchSpace& space,
-                          const std::vector<std::uint32_t>& target) {
-  return snap_impl(space, target);
-}
-
-std::size_t snap_to_valid(const SubSpace& view,
-                          const std::vector<std::uint32_t>& target) {
-  return snap_impl(view, target);
-}
-
-std::vector<std::size_t> latin_hypercube_sample(const SearchSpace& space,
-                                                std::size_t count, util::Rng& rng) {
-  return lhs_impl(space, count, rng);
-}
-
-std::vector<std::size_t> latin_hypercube_sample(const SubSpace& view,
-                                                std::size_t count, util::Rng& rng) {
-  return lhs_impl(view, count, rng);
 }
 
 }  // namespace tunespace::searchspace

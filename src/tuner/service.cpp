@@ -144,7 +144,7 @@ struct TuningService::Session {
 
 TuningService::TuningService(TuningServiceOptions options)
     : options_(std::move(options)), manager_([this] {
-        SessionManagerOptions manager = options_.manager;
+        SessionManagerOptions manager;
         if (!options_.state_dir.empty()) {
           manager.snapshot_cache_dir = options_.state_dir + "/snapshots";
         }

@@ -6,10 +6,13 @@
 #include <condition_variable>
 #include <cstdio>
 #include <future>
+#include <span>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
 
 #include "tunespace/util/timer.hpp"
+#include "util/atomic_file.hpp"
 #include "util/parallel_for.hpp"
 
 namespace tunespace::tuner {
@@ -123,96 +126,347 @@ std::vector<std::pair<std::uint64_t, Measurement>> SharedEvalCache::entries_for(
 }
 
 // ---------------------------------------------------------------------------
-// SessionStepper: the session core as a resumable ask/tell state machine
+// Portfolio lockstep turnstile
 // ---------------------------------------------------------------------------
-//
-// The optimizers are push-style (they call ctx.evaluate in a loop), so the
-// inversion runs the optimizer unchanged on a private worker thread and
-// turns each un-memoized, un-cached evaluation request into a rendezvous:
-// the worker parks in yield_ask and the request surfaces through suggest();
-// report() delivers the measurement and resumes the worker until it parks
-// at the next request or returns.  Every public call leaves the worker
-// parked or finished (the quiescence invariant), so the driver-side reads
-// of the clock, run and best-so-far never race — the mutex hand-offs at
-// each park/resume establish the ordering.
 
 namespace {
 
+/// Serializes portfolio evaluations in virtual-time order: a member may
+/// perform its next evaluation request only when its virtual clock is the
+/// minimum over all still-active members (ties broken by member index).
+/// Every shared-state read and write happens at such a turn boundary, so
+/// the whole race — shared best, stall rule, member trajectories — is a
+/// pure function of the root seed, independent of thread scheduling.
+class LockstepRace {
+ public:
+  LockstepRace(std::size_t members, double start_clock,
+               const PortfolioOptions& options)
+      : options_(options),
+        clocks_(members, start_clock),
+        active_(members, 1),
+        last_improvement_(start_clock) {}
+
+  /// Block until member `m` (at virtual time `now`) holds the turn.
+  void wait_turn(std::size_t m, double now) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    clocks_[m] = now;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return stopped_ || holds_turn(m); });
+  }
+
+  /// The shared early-stop predicate, evaluated at member `m`'s turn so the
+  /// answer only depends on evaluations that precede (now, m) in virtual
+  /// order.
+  bool should_stop(std::size_t m, double now) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    clocks_[m] = now;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return stopped_ || holds_turn(m); });
+    if (stopped_) return true;
+    if (options_.target_gflops > 0 && best_ >= options_.target_gflops) {
+      stopped_ = early_stopped_ = true;
+    } else if (options_.stall_seconds > 0 &&
+               now - last_improvement_ > options_.stall_seconds) {
+      stopped_ = early_stopped_ = true;
+    }
+    if (stopped_) cv_.notify_all();
+    return stopped_;
+  }
+
+  /// Publish one evaluation (caller holds the turn, so calls arrive in
+  /// virtual-time order).
+  void record(double gflops, double now) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (gflops > best_) {
+      best_ = gflops;
+      last_improvement_ = now;
+    }
+  }
+
+  void finish(std::size_t m) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    active_[m] = 0;
+    cv_.notify_all();
+  }
+
+  bool early_stopped() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return early_stopped_;
+  }
+
+ private:
+  bool holds_turn(std::size_t m) const {
+    for (std::size_t j = 0; j < clocks_.size(); ++j) {
+      if (j == m || !active_[j]) continue;
+      if (clocks_[j] < clocks_[m] || (clocks_[j] == clocks_[m] && j < m)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const PortfolioOptions& options_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<double> clocks_;
+  std::vector<std::uint8_t> active_;
+  double best_ = 0;
+  double last_improvement_ = 0;
+  bool stopped_ = false;
+  bool early_stopped_ = false;
+};
+
+/// Add `point` to a Pareto front unless a held point weakly dominates it,
+/// dropping the held points it dominates.  Weak dominance drops duplicates:
+/// an equal vector never grows the front.
+void insert_non_dominated(std::vector<ParetoPoint>& front, const ParetoPoint& point,
+                          const ObjectiveSpec& spec) {
+  for (const ParetoPoint& held : front) {
+    if (spec.dominates_or_equal(held.measurement, point.measurement)) return;
+  }
+  std::erase_if(front, [&](const ParetoPoint& held) {
+    return spec.dominates(point.measurement, held.measurement);
+  });
+  front.push_back(point);
+}
+
 /// Thrown through the optimizer's run() to unwind it on cancel(); never
-/// escapes the worker function.
+/// escapes the stepper's worker thread.
 struct AbortStepper {};
 
 }  // namespace
 
-SessionStepper::SessionStepper(searchspace::SubSpace view,
-                               std::string method_name,
+// ---------------------------------------------------------------------------
+// SessionCore: one session's state and request flow
+// ---------------------------------------------------------------------------
+
+/// Owns one session's virtual clock, budget and overhead accounting, memo,
+/// shared-cache interaction, trajectory, Pareto front and warm-start seeds,
+/// and runs the optimizer against them on the calling thread.  The closed
+/// loop and the stepper differ only in the Fetch that answers a request
+/// neither the memo nor the shared cache holds: run_session measures the
+/// model right there, the SessionStepper parks its worker thread until
+/// report().
+class SessionCore {
+ public:
+  /// A fresh measurement of `ask` and its clock charge (< 0 charges cost).
+  using Fetch = std::function<std::pair<Measurement, double>(Suggestion ask)>;
+
+  /// `race` (portfolio members only) gates every request, stop check and
+  /// evaluation of member `member` through the lockstep turnstile.
+  SessionCore(searchspace::SubSpace space, std::string method_name,
+              double construction_seconds, const TuningOptions& tuning,
+              SessionStepper::CostFn cost_fn, SharedEvalCache* cache,
+              std::uint64_t fingerprint, SessionStats* session_stats,
+              LockstepRace* lockstep = nullptr, std::size_t member_index = 0)
+      : view(std::move(space)),
+        options(tuning),
+        cost(std::move(cost_fn)),
+        shared_cache(cache),
+        cache_fingerprint(fingerprint),
+        stats(session_stats),
+        race(lockstep),
+        member(member_index),
+        rng(tuning.seed) {
+    result.method_name = std::move(method_name);
+    result.budget_seconds = options.budget_seconds;
+    result.objectives = options.objectives;
+    result.construction_seconds = options.fixed_construction_seconds >= 0
+                                      ? options.fixed_construction_seconds
+                                      : construction_seconds;
+    clock.advance(result.construction_seconds * options.construction_time_scale);
+    names.reserve(view.num_params());
+    for (std::size_t p = 0; p < view.num_params(); ++p) {
+      names.push_back(view.param_name(p));
+    }
+  }
+
+  /// Seed from the shared cache, then run the optimizer until the budget is
+  /// spent or the space is swept.  Returns at once when construction (or
+  /// seeding) consumed the budget or the view is empty.
+  void run_optimizer(Optimizer& optimizer, Fetch fetch_missing) {
+    fetch = std::move(fetch_missing);
+    if (clock.now() >= options.budget_seconds || view.empty()) return;
+    seed_from_cache();
+    if (clock.now() >= options.budget_seconds) return;
+    EvalContext ctx{
+        view,
+        /*evaluate=*/
+        [this](std::size_t row) {
+          return options.objectives.scalarize(measure_row(row));
+        },
+        /*exhausted=*/
+        [this] {
+          return clock.now() >= options.budget_seconds ||
+                 (race && race->should_stop(member, clock.now()));
+        },
+        &rng,
+        /*measure=*/[this](std::size_t row) { return measure_row(row); },
+        /*objectives=*/&options.objectives};
+    ctx.seeded = seeded.empty() ? nullptr : &seeded;
+    ctx.on_surrogate_refit = [this] {
+      if (stats) stats->surrogate_refits++;
+    };
+    optimizer.run(ctx);
+  }
+
+  /// Stamp the session's wall time once it is over.
+  void finish() {
+    if (stats) stats->session_seconds = wall.seconds();
+  }
+
+  searchspace::SubSpace view;
+  TuningOptions options;
+  std::vector<std::string> names;
+  util::VirtualClock clock;
+  TuningRun result;
+  std::optional<Suggestion> best;
+  std::vector<std::pair<std::size_t, Measurement>> seeded;
+
+ private:
+  Measurement measure_row(std::size_t row);
+  void seed_from_cache();
+
+  SessionStepper::CostFn cost;
+  SharedEvalCache* shared_cache;
+  std::uint64_t cache_fingerprint;
+  SessionStats* stats;
+  LockstepRace* race;
+  std::size_t member;
+  Fetch fetch;
+  util::WallTimer wall;
+  util::Rng rng;
+  std::unordered_map<std::size_t, Measurement> memo;
+};
+
+void SessionCore::seed_from_cache() {
+  // Warm start (opt-in): charge the cache's best rows for this fingerprint
+  // as the session's first evaluations, before the optimizer starts.  Every
+  // seed is a guaranteed cache hit (the entry was just enumerated and the
+  // cache never evicts), so measure_row never reaches the fetch.  With the
+  // option off or the cache cold this is a no-op — no clock charge, no Rng
+  // draw — keeping the session bit-identical to a cold run.
+  if (!options.warm_start || shared_cache == nullptr || options.warm_start_top_k == 0) {
+    return;
+  }
+  struct Seed {
+    double score;
+    std::size_t local;
+  };
+  std::vector<Seed> seeds;
+  for (const auto& [parent_row, measurement] :
+       shared_cache->entries_for(cache_fingerprint)) {
+    if (const auto local = view.local_of(parent_row)) {
+      seeds.push_back({options.objectives.scalarize(measurement), *local});
+    }
+  }
+  // entries_for returns rows ascending and the sort is stable, so ties
+  // break by ascending row — the documented deterministic seeding order.
+  std::stable_sort(seeds.begin(), seeds.end(),
+                   [](const Seed& a, const Seed& b) { return a.score > b.score; });
+  if (seeds.size() > options.warm_start_top_k) {
+    seeds.resize(options.warm_start_top_k);
+  }
+  for (const Seed& seed : seeds) {
+    if (clock.now() >= options.budget_seconds) break;
+    // Charged through the normal request flow (overhead, evaluation cost,
+    // trajectory, front), exactly like an optimizer-requested row.
+    const std::uint64_t before = result.evaluations;
+    const Measurement measured = measure_row(seed.local);
+    if (result.evaluations == before) break;  // the overhead drained the budget
+    seeded.emplace_back(seed.local, measured);
+    if (stats) stats->seeded_rows++;
+  }
+}
+
+Measurement SessionCore::measure_row(std::size_t row) {
+  if (race) race->wait_turn(member, clock.now());
+  clock.advance(options.overhead_per_request);
+  const auto it = memo.find(row);
+  if (it != memo.end()) return it->second;  // memoized: overhead only
+  if (clock.now() >= options.budget_seconds) return Measurement{};
+  // Cross-session sharing: the measurements are deterministic per
+  // (space, model, objective-set) fingerprint, so a cached vector is
+  // bit-identical to a fresh one and sharing only skips measurement work —
+  // the virtual timeline (full evaluation cost) and the evaluation count
+  // are charged either way, keeping a session's TuningRun independent of
+  // who measured first.
+  const std::uint64_t parent_row = view.parent_row(row);
+  Measurement measured;
+  double cost_seconds;
+  const std::optional<Measurement> cached =
+      shared_cache ? shared_cache->lookup(cache_fingerprint, parent_row) : std::nullopt;
+  if (cached) {
+    measured = *cached;  // inserted masked, under the same objective set
+    cost_seconds = cost(measured);
+    if (stats) stats->shared_cache_hits++;
+  } else {
+    const auto [reply, reply_seconds] = fetch({row, parent_row, view.config(row)});
+    // Mask to the session's objective set *before* any session state sees
+    // the vector: a session only records what it asked to measure, which
+    // is what keeps closed-loop, ask/tell and v1-wire replays of the same
+    // session bit-identical.
+    measured = options.objectives.mask(reply);
+    cost_seconds = reply_seconds >= 0 ? reply_seconds : cost(measured);
+    if (stats) stats->model_evaluations++;
+    if (shared_cache) shared_cache->insert(cache_fingerprint, parent_row, measured);
+  }
+  clock.advance(cost_seconds);
+  memo.emplace(row, measured);
+  result.evaluations++;
+  // Front insertion order is the virtual-clock evaluation order, so the
+  // front is as deterministic as the trajectory.
+  insert_non_dominated(result.front,
+                       {static_cast<std::uint64_t>(row), parent_row, measured,
+                        clock.now(), result.evaluations},
+                       options.objectives);
+  const double score = options.objectives.scalarize(measured);
+  if (score > result.best_score) {
+    result.best_score = score;
+    result.best = measured;
+    result.best_gflops = measured.gflops;
+    result.trajectory.push_back(
+        {clock.now(), measured.gflops, result.evaluations, measured});
+    best = Suggestion{row, parent_row, view.config(row)};
+  }
+  if (race) race->record(score, clock.now());
+  return measured;
+}
+
+// ---------------------------------------------------------------------------
+// SessionStepper: the core driven through suggest() / report()
+// ---------------------------------------------------------------------------
+//
+// The optimizers are push-style (they call ctx.evaluate in a loop), so the
+// stepper runs the core on a private worker thread and turns each fetch
+// into a rendezvous: the worker parks and the request surfaces through
+// suggest(); report() delivers the measurement and resumes the worker until
+// it parks at the next request or returns.  Every public call leaves the
+// worker parked or finished (the quiescence invariant), so the public
+// methods' reads of the core never race — the mutex hand-offs at each
+// park/resume establish the ordering.
+
+SessionStepper::SessionStepper(searchspace::SubSpace view, std::string method_name,
                                double construction_seconds, Optimizer& optimizer,
                                const TuningOptions& options, CostFn cost,
                                SharedEvalCache* shared_cache,
-                               std::uint64_t cache_fingerprint,
-                               SessionStats* stats, SessionHooks hooks)
-    : view_(std::move(view)),
-      options_(options),
-      optimizer_(&optimizer),
-      cost_(std::move(cost)),
-      shared_cache_(shared_cache),
-      cache_fingerprint_(cache_fingerprint),
-      stats_(stats),
-      hooks_(std::move(hooks)),
-      rng_(options.seed) {
-  run_.method_name = std::move(method_name);
-  run_.budget_seconds = options_.budget_seconds;
-  run_.objectives = options_.objectives;
-  const double charged = options_.fixed_construction_seconds >= 0
-                             ? options_.fixed_construction_seconds
-                             : construction_seconds;
-  run_.construction_seconds = charged;
-  clock_.advance(charged * options_.construction_time_scale);
-
-  names_.reserve(view_.num_params());
-  for (std::size_t p = 0; p < view_.num_params(); ++p) {
-    names_.push_back(view_.param_name(p));
-  }
-
-  if (clock_.now() >= options_.budget_seconds || view_.empty()) {
-    done_ = true;  // budget consumed before the first configuration
-    finalize();
-    return;
-  }
-
-  // Warm start (opt-in): charge the cache's best rows for this fingerprint
-  // as the session's first evaluations, before the optimizer exists.  Every
-  // seed is a guaranteed cache hit (the entry was just enumerated and the
-  // cache never evicts), so measure_row never reaches the rendezvous and
-  // this runs safely on the constructor thread.  With the option off or the
-  // cache cold this is a no-op — no clock charge, no Rng draw — keeping the
-  // session bit-identical to a cold run.
-  seed_from_cache();
-  if (clock_.now() >= options_.budget_seconds) {
-    done_ = true;  // the seeds consumed the whole budget
-    finalize();
-    return;
-  }
-
-  worker_ = std::thread([this] {
+                               std::uint64_t cache_fingerprint, SessionStats* stats)
+    : core_(std::make_unique<SessionCore>(std::move(view), std::move(method_name),
+                                          construction_seconds, options,
+                                          std::move(cost), shared_cache,
+                                          cache_fingerprint, stats)) {
+  worker_ = std::thread([this, &optimizer] {
     try {
-      EvalContext ctx{
-          view_,
-          /*evaluate=*/[this](std::size_t row) { return evaluate(row); },
-          /*exhausted=*/
-          [this] {
-            return abort_.load(std::memory_order_relaxed) ||
-                   clock_.now() >= options_.budget_seconds ||
-                   (hooks_.stop && hooks_.stop(clock_.now()));
-          },
-          &rng_,
-          /*measure=*/[this](std::size_t row) { return measure_row(row); },
-          /*objectives=*/&options_.objectives};
-      ctx.seeded = seeded_.empty() ? nullptr : &seeded_;
-      ctx.on_surrogate_refit = [this] {
-        if (stats_) stats_->surrogate_refits++;
-      };
-      optimizer_->run(ctx);
+      core_->run_optimizer(optimizer, [this](Suggestion ask) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (abort_) throw AbortStepper{};
+        pending_ = std::move(ask);
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return resume_ || abort_; });
+        if (abort_) throw AbortStepper{};
+        resume_ = false;
+        return reply_;
+      });
     } catch (const AbortStepper&) {
       // cancel() unwinding the optimizer: not an error.
     } catch (...) {
@@ -244,128 +498,6 @@ SessionStepper::~SessionStepper() {
 
 void SessionStepper::wait_parked(std::unique_lock<std::mutex>& lock) {
   cv_.wait(lock, [this] { return pending_.has_value() || done_; });
-}
-
-double SessionStepper::evaluate(std::size_t row) {
-  return options_.objectives.scalarize(measure_row(row));
-}
-
-void SessionStepper::seed_from_cache() {
-  if (!options_.warm_start || shared_cache_ == nullptr ||
-      options_.warm_start_top_k == 0) {
-    return;
-  }
-  struct Seed {
-    double score;
-    std::size_t local;
-  };
-  std::vector<Seed> seeds;
-  for (const auto& [parent_row, measurement] :
-       shared_cache_->entries_for(cache_fingerprint_)) {
-    if (const auto local = view_.local_of(parent_row)) {
-      seeds.push_back({options_.objectives.scalarize(measurement), *local});
-    }
-  }
-  // entries_for returns rows ascending and the sort is stable, so ties
-  // break by ascending row — the documented deterministic seeding order.
-  std::stable_sort(seeds.begin(), seeds.end(),
-                   [](const Seed& a, const Seed& b) { return a.score > b.score; });
-  if (seeds.size() > options_.warm_start_top_k) {
-    seeds.resize(options_.warm_start_top_k);
-  }
-  for (const Seed& seed : seeds) {
-    if (clock_.now() >= options_.budget_seconds) break;
-    // A guaranteed cache hit: charged through the normal request flow
-    // (overhead, evaluation cost, trajectory, front), exactly like an
-    // optimizer-requested row.
-    const std::uint64_t before = run_.evaluations;
-    const Measurement measured = measure_row(seed.local);
-    if (run_.evaluations == before) break;  // the overhead drained the budget
-    seeded_.emplace_back(seed.local, measured);
-    if (stats_) stats_->seeded_rows++;
-  }
-}
-
-Measurement SessionStepper::measure_row(std::size_t row) {
-  if (hooks_.before_request) hooks_.before_request(clock_.now());
-  clock_.advance(options_.overhead_per_request);
-  const auto it = memo_.find(row);
-  if (it != memo_.end()) return it->second;  // memoized: overhead only
-  if (clock_.now() >= options_.budget_seconds) return Measurement{};
-  // Cross-session sharing: the measurements are deterministic per
-  // (space, model, objective-set) fingerprint, so a cached vector is
-  // bit-identical to a fresh one and sharing only skips measurement work —
-  // the virtual timeline (full evaluation cost) and the evaluation count
-  // are charged either way, keeping a session's TuningRun independent of
-  // who measured first.
-  const std::uint64_t parent_row = view_.parent_row(row);
-  Measurement measured;
-  double cost_seconds;
-  const std::optional<Measurement> cached =
-      shared_cache_ ? shared_cache_->lookup(cache_fingerprint_, parent_row)
-                    : std::nullopt;
-  if (cached) {
-    measured = *cached;  // inserted masked, under the same objective set
-    cost_seconds = cost_(measured);
-    if (stats_) stats_->shared_cache_hits++;
-  } else {
-    const Reply reply = yield_ask({row, parent_row, view_.config(row)});
-    // Mask to the session's objective set *before* any session state sees
-    // the vector: a session only records what it asked to measure, which
-    // is what keeps closed-loop, ask/tell and v1-wire replays of the same
-    // session bit-identical.
-    measured = options_.objectives.mask(reply.measurement);
-    cost_seconds =
-        reply.cost_seconds >= 0 ? reply.cost_seconds : cost_(measured);
-    if (stats_) stats_->model_evaluations++;
-    if (shared_cache_) {
-      shared_cache_->insert(cache_fingerprint_, parent_row, measured);
-    }
-  }
-  clock_.advance(cost_seconds);
-  memo_.emplace(row, measured);
-  run_.evaluations++;
-  update_front(row, parent_row, measured);
-  const double score = options_.objectives.scalarize(measured);
-  if (score > run_.best_score) {
-    run_.best_score = score;
-    run_.best = measured;
-    run_.best_gflops = measured.gflops;
-    run_.trajectory.push_back(
-        {clock_.now(), measured.gflops, run_.evaluations, measured});
-    best_ = Suggestion{row, parent_row, view_.config(row)};
-  }
-  if (hooks_.on_eval) hooks_.on_eval(row, score, clock_.now());
-  return measured;
-}
-
-void SessionStepper::update_front(std::size_t row, std::uint64_t parent_row,
-                                  const Measurement& measurement) {
-  // Insertion order is the virtual-clock evaluation order, so the front is
-  // as deterministic as the trajectory.  Weak dominance drops duplicates:
-  // re-measuring an equal vector never grows the front.
-  const ObjectiveSpec& spec = options_.objectives;
-  for (const ParetoPoint& point : run_.front) {
-    if (spec.dominates_or_equal(point.measurement, measurement)) return;
-  }
-  std::erase_if(run_.front, [&](const ParetoPoint& point) {
-    return spec.dominates(measurement, point.measurement);
-  });
-  run_.front.push_back({static_cast<std::uint64_t>(row), parent_row,
-                        measurement, clock_.now(), run_.evaluations});
-}
-
-SessionStepper::Reply SessionStepper::yield_ask(Suggestion ask) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (abort_.load(std::memory_order_relaxed)) throw AbortStepper{};
-  pending_ = std::move(ask);
-  cv_.notify_all();
-  cv_.wait(lock, [this] {
-    return resume_ || abort_.load(std::memory_order_relaxed);
-  });
-  if (abort_.load(std::memory_order_relaxed)) throw AbortStepper{};
-  resume_ = false;
-  return reply_;
 }
 
 std::optional<Suggestion> SessionStepper::suggest() {
@@ -418,7 +550,7 @@ void SessionStepper::cancel() {
   if (finished_) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    abort_.store(true, std::memory_order_relaxed);
+    abort_ = true;
     cv_.notify_all();
   }
   awaiting_report_ = false;
@@ -434,7 +566,7 @@ void SessionStepper::finalize() {
   if (finished_) return;
   if (worker_.joinable()) worker_.join();
   finished_ = true;
-  if (stats_) stats_->session_seconds = wall_.seconds();
+  core_->finish();
   if (worker_error_) {
     std::exception_ptr error = worker_error_;
     worker_error_ = nullptr;
@@ -442,15 +574,26 @@ void SessionStepper::finalize() {
   }
 }
 
+double SessionStepper::now() const { return core_->clock.now(); }
+const searchspace::SubSpace& SessionStepper::view() const { return core_->view; }
+const std::vector<std::string>& SessionStepper::param_names() const {
+  return core_->names;
+}
+const TuningRun& SessionStepper::run() const { return core_->result; }
+const std::optional<Suggestion>& SessionStepper::best() const { return core_->best; }
+const std::vector<std::pair<std::size_t, Measurement>>& SessionStepper::seeded() const {
+  return core_->seeded;
+}
+
 TuningRun SessionStepper::take_run() {
   if (!finished_) {
     throw ServiceError(ErrorCode::kWrongState, "take_run() before completion");
   }
-  return std::move(run_);
+  return std::move(core_->result);
 }
 
 // ---------------------------------------------------------------------------
-// The session loop: a closed-loop driver over the stepper
+// The closed loop: the core driven on the caller's thread
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -463,22 +606,25 @@ std::shared_ptr<const PerformanceModel> borrow(const PerformanceModel& model) {
 }
 
 /// The resolved-view core of run_session: everything after the space exists.
+/// The optimizer runs on the calling thread and every fetch is answered with
+/// the model there and then.  `race` is set for portfolio members only.
 TuningRun run_session_over(const searchspace::SubSpace& view,
                            const std::string& method_name,
                            double construction_seconds,
-                           const SessionRequest& request) {
+                           const SessionRequest& request,
+                           LockstepRace* race = nullptr, std::size_t member = 0) {
   auto owned = request.optimizer ? nullptr : request.make_optimizer();
   Optimizer& optimizer = request.optimizer ? *request.optimizer : *owned;
   const PerformanceModel& model = *request.model;
-  SessionStepper stepper(
-      view, method_name, construction_seconds, optimizer, request.options,
+  SessionCore core(
+      view, method_name, construction_seconds, request.options,
       [&model](const Measurement& m) { return model.evaluation_cost(m.gflops); },
-      request.shared_cache, request.cache_fingerprint, request.stats,
-      request.hooks);
-  while (std::optional<Suggestion> ask = stepper.suggest()) {
-    stepper.report(model.measure(stepper.param_names(), ask->config));
-  }
-  return stepper.take_run();
+      request.shared_cache, request.cache_fingerprint, request.stats, race, member);
+  core.run_optimizer(optimizer, [&](const Suggestion& ask) {
+    return std::pair{model.measure(core.names, ask.config), -1.0};
+  });
+  core.finish();
+  return std::move(core.result);
 }
 
 }  // namespace
@@ -506,10 +652,7 @@ TuningRun run_session(const SessionRequest& request) {
   }
   // Fresh construction: real measured latency, charged to the virtual clock
   // (subject to TuningOptions::fixed_construction_seconds, as always).
-  Method built;
-  if (request.method == nullptr) {
-    built = request.make_method ? request.make_method() : optimized_method();
-  }
+  const Method built = request.method ? Method{} : optimized_method();
   const Method& method = request.method ? *request.method : built;
   searchspace::SearchSpace space(request.spec, method);
   searchspace::SubSpace view(space);
@@ -637,10 +780,7 @@ std::shared_ptr<const searchspace::SearchSpace> SessionManager::acquire_space(
 
 SessionResult SessionManager::run_one(SessionRequest& request) {
   SessionResult result;
-  Method built;
-  if (request.method == nullptr) {
-    built = request.make_method ? request.make_method() : optimized_method();
-  }
+  const Method built = request.method ? Method{} : optimized_method();
   const Method& method = request.method ? *request.method : built;
   auto space = acquire_space(request.spec, method, &result.stats);
 
@@ -670,95 +810,6 @@ std::vector<SessionResult> SessionManager::run_all(
 // ---------------------------------------------------------------------------
 // Portfolio: deterministic lockstep race
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Serializes portfolio evaluations in virtual-time order: a member may
-/// perform its next evaluation request only when its virtual clock is the
-/// minimum over all still-active members (ties broken by member index).
-/// Every shared-state read and write happens at such a turn boundary, so
-/// the whole race — shared best, stall rule, member trajectories — is a
-/// pure function of the root seed, independent of thread scheduling.
-class LockstepRace {
- public:
-  LockstepRace(std::size_t members, double start_clock,
-               const PortfolioOptions& options)
-      : options_(options),
-        clocks_(members, start_clock),
-        active_(members, 1),
-        last_improvement_(start_clock) {}
-
-  /// Block until member `m` (at virtual time `now`) holds the turn.
-  void wait_turn(std::size_t m, double now) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    clocks_[m] = now;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return stopped_ || holds_turn(m); });
-  }
-
-  /// The shared early-stop predicate, evaluated at member `m`'s turn so the
-  /// answer only depends on evaluations that precede (now, m) in virtual
-  /// order.
-  bool should_stop(std::size_t m, double now) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    clocks_[m] = now;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return stopped_ || holds_turn(m); });
-    if (stopped_) return true;
-    if (options_.target_gflops > 0 && best_ >= options_.target_gflops) {
-      stopped_ = early_stopped_ = true;
-    } else if (options_.stall_seconds > 0 &&
-               now - last_improvement_ > options_.stall_seconds) {
-      stopped_ = early_stopped_ = true;
-    }
-    if (stopped_) cv_.notify_all();
-    return stopped_;
-  }
-
-  /// Publish one evaluation (caller holds the turn, so calls arrive in
-  /// virtual-time order).
-  void record(double gflops, double now) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (gflops > best_) {
-      best_ = gflops;
-      last_improvement_ = now;
-    }
-  }
-
-  void finish(std::size_t m) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    active_[m] = 0;
-    cv_.notify_all();
-  }
-
-  bool early_stopped() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return early_stopped_;
-  }
-
- private:
-  bool holds_turn(std::size_t m) const {
-    for (std::size_t j = 0; j < clocks_.size(); ++j) {
-      if (j == m || !active_[j]) continue;
-      if (clocks_[j] < clocks_[m] || (clocks_[j] == clocks_[m] && j < m)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  const PortfolioOptions& options_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<double> clocks_;
-  std::vector<std::uint8_t> active_;
-  double best_ = 0;
-  double last_improvement_ = 0;
-  bool stopped_ = false;
-  bool early_stopped_ = false;
-};
-
-}  // namespace
 
 PortfolioResult run_portfolio(const searchspace::SubSpace& view,
                               const PerformanceModel& model,
@@ -797,22 +848,15 @@ PortfolioResult run_portfolio(const searchspace::SubSpace& view,
     try {
       TuningOptions member_options = options.base;
       member_options.seed = seeds[m];
-      SessionHooks hooks;
-      hooks.before_request = [&race, m](double now) { race.wait_turn(m, now); };
-      hooks.on_eval = [&race](std::size_t, double score, double now) {
-        race.record(score, now);
-      };
-      hooks.stop = [&race, m](double now) { return race.should_stop(m, now); };
       result.members[m].optimizer_name = optimizers[m]->name();
       result.members[m].seed = seeds[m];
       SessionRequest member =
-          make_session_request(view, model, *optimizers[m], member_options,
-                               "portfolio:" + optimizers[m]->name());
-      member.construction_seconds = construction;
+          make_session_request(view, model, *optimizers[m], member_options);
       member.shared_cache = cache;
       member.cache_fingerprint = cache_fp;
-      member.hooks = hooks;
-      result.members[m].run = run_session(member);
+      result.members[m].run =
+          run_session_over(view, "portfolio:" + optimizers[m]->name(), construction,
+                           member, &race, m);
     } catch (...) {
       std::lock_guard<std::mutex> lock(error_mutex);
       if (!first_error) first_error = std::current_exception();
@@ -883,18 +927,7 @@ PortfolioResult run_portfolio(const searchspace::SubSpace& view,
                      return a.member < b.member;
                    });
   for (const TaggedFront& t : fronts) {
-    bool covered = false;
-    for (const ParetoPoint& held : result.merged.front) {
-      if (spec.dominates_or_equal(held.measurement, t.point.measurement)) {
-        covered = true;
-        break;
-      }
-    }
-    if (covered) continue;
-    std::erase_if(result.merged.front, [&](const ParetoPoint& held) {
-      return spec.dominates(t.point.measurement, held.measurement);
-    });
-    result.merged.front.push_back(t.point);
+    insert_non_dominated(result.merged.front, t.point, spec);
   }
   return result;
 }
@@ -933,27 +966,25 @@ void save_shared_eval_cache(const SharedEvalCache& cache,
     return a.fingerprint != b.fingerprint ? a.fingerprint < b.fingerprint
                                           : a.row < b.row;
   });
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file == nullptr) {
-    throw ServiceError(ErrorCode::kIo, "cannot write " + tmp);
-  }
   // Measurements are doubles round-tripped as raw bit patterns, so a warm
   // restart serves bit-identical values and never perturbs a session.
   // TSEC 2 appends a watts column to the v1 (fp, row, gflops) rows.
-  std::fprintf(file, "TSEC 2\n");
+  std::string text = "TSEC 2\n";
+  char line[72];
   for (const Entry& entry : entries) {
-    std::fprintf(file, "%016llx %016llx %016llx %016llx\n",
-                 static_cast<unsigned long long>(entry.fingerprint),
-                 static_cast<unsigned long long>(entry.row),
-                 static_cast<unsigned long long>(entry.gflops_bits),
-                 static_cast<unsigned long long>(entry.watts_bits));
+    const int size =
+        std::snprintf(line, sizeof(line), "%016llx %016llx %016llx %016llx\n",
+                      static_cast<unsigned long long>(entry.fingerprint),
+                      static_cast<unsigned long long>(entry.row),
+                      static_cast<unsigned long long>(entry.gflops_bits),
+                      static_cast<unsigned long long>(entry.watts_bits));
+    text.append(line, static_cast<std::size_t>(size));
   }
-  const bool ok = std::fflush(file) == 0;
-  std::fclose(file);
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw ServiceError(ErrorCode::kIo, "cannot persist " + path);
+  const std::span<const char> bytes[] = {{text.data(), text.size()}};
+  try {
+    util::write_file_atomically(path, bytes);
+  } catch (const std::exception& e) {
+    throw ServiceError(ErrorCode::kIo, "cannot persist " + path + ": " + e.what());
   }
 }
 

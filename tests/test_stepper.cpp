@@ -1,11 +1,13 @@
 // Tests for the SessionStepper ask/tell core: bit-identity of a manual
 // suggest/report replay against the closed-loop run_session path for every
 // optimizer (over the full space and a restricted view), the ask/tell
-// ordering contract, cancellation, shared-cache interaction and custom
-// measurement charges.
+// ordering contract, cancellation, shared-cache interaction, custom
+// measurement charges, and which thread run_session, the SessionManager and
+// the stepper run the optimizer on.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 
 #include "tunespace/searchspace/query.hpp"
 #include "tunespace/searchspace/view.hpp"
@@ -282,4 +284,66 @@ TEST(Stepper, BestTracksTheImprovingSuggestion) {
   ASSERT_TRUE(stepper.best().has_value());
   EXPECT_EQ(stepper.best()->row, first_row);
   stepper.cancel();
+}
+
+// --- Thread model -----------------------------------------------------------
+
+namespace {
+
+/// Random sampling that records the thread its run() executes on.
+class ThreadRecorder : public tuner::Optimizer {
+ public:
+  explicit ThreadRecorder(std::thread::id& ran_on) : ran_on_(ran_on) {}
+  std::string name() const override { return "thread-recorder"; }
+  void run(tuner::EvalContext& ctx) override {
+    ran_on_ = std::this_thread::get_id();
+    inner_.run(ctx);
+  }
+
+ private:
+  std::thread::id& ran_on_;
+  tuner::RandomSearch inner_;
+};
+
+}  // namespace
+
+TEST(ThreadModel, RunSessionRunsTheOptimizerOnTheCallingThread) {
+  const searchspace::SearchSpace space(small_spec());
+  tuner::HotspotModel model;
+  std::thread::id ran_on;
+  ThreadRecorder recorder(ran_on);
+  const auto run = tuner::run_session(
+      tuner::make_session_request(space, model, recorder, fixed_options(3)));
+  EXPECT_GT(run.evaluations, 0u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadModel, SingleWorkerManagerRunsTheOptimizerOnTheCallingThread) {
+  tuner::SessionManagerOptions options;
+  options.workers = 1;
+  tuner::SessionManager manager(options);
+  std::thread::id ran_on;
+  tuner::SessionRequest request;
+  request.spec = small_spec();
+  request.model = std::make_shared<tuner::HotspotModel>();
+  request.make_optimizer = [&ran_on] { return std::make_unique<ThreadRecorder>(ran_on); };
+  request.options = fixed_options(3);
+  const auto results = manager.run_all({request});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_GT(results[0].run.evaluations, 0u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadModel, StepperRunsTheOptimizerOnItsWorkerThread) {
+  const searchspace::SearchSpace space(small_spec());
+  tuner::HotspotModel model;
+  std::thread::id ran_on;
+  ThreadRecorder recorder(ran_on);
+  tuner::SessionStepper stepper(space, "optimized", 0.0, recorder, fixed_options(3),
+                                cost_of(model));
+  // The constructor returns with the worker parked at its first request, so
+  // the recorded id is visible here.
+  EXPECT_NE(ran_on, std::thread::id());
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  EXPECT_GT(drive(stepper, model).evaluations, 0u);
 }

@@ -4,13 +4,16 @@
 // sessions, top-k seeding order, stats accounting), the SurrogateGuided
 // model-based optimizer (repeat-run identity, refit counters), TSEC
 // merge semantics (first-insert-wins, order-independent for identical
-// values), the v2 wire fields, and the TuningService warm-restart path.
+// values, concurrent saves of one path), the v2 wire fields, and the
+// TuningService warm-restart path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -384,6 +387,42 @@ TEST(EvalCachePersistence, MissingAndForeignFilesLoadAsEmpty) {
   }
   EXPECT_EQ(load_shared_eval_cache(cache, (dir / "garbage.tsv").string()), 0u);
   EXPECT_EQ(cache.size(), 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EvalCachePersistence, ConcurrentSavesOfOnePathAllSucceed) {
+  const auto dir = scratch_dir();
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "eval_cache.tsv").string();
+  constexpr std::uint64_t kRows = 5000;
+  tuner::SharedEvalCache cache;
+  for (std::uint64_t row = 0; row < kRows; ++row) {
+    cache.insert(7, row, {1.0 + static_cast<double>(row), 0.5});
+  }
+  // Four writers publish the same cache to one path again and again: every
+  // save must succeed, and whichever rename lands last leaves a whole file.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) {
+        try {
+          save_shared_eval_cache(cache, path);
+        } catch (const ServiceError&) {
+          failures++;
+        }
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
+  EXPECT_EQ(failures.load(), 0);
+  tuner::SharedEvalCache loaded;
+  EXPECT_EQ(load_shared_eval_cache(loaded, path), kRows);
+  EXPECT_EQ(loaded.entries_for(7), cache.entries_for(7));
+  // No writer left its temp file behind.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                          std::filesystem::directory_iterator()),
+            1);
   std::filesystem::remove_all(dir);
 }
 
