@@ -1,5 +1,7 @@
 #include "tunespace/expr/parser.hpp"
 
+#include <algorithm>
+
 namespace tunespace::expr {
 
 namespace {
@@ -27,6 +29,19 @@ class Parser {
     ++pos_;
   }
 
+  /// Returns `node` and records its depth in depth_of_last_: one level above
+  /// its deepest child (`child_depth` levels; 0 for a leaf).  Throws
+  /// SyntaxError past kMaxTreeDepth.
+  AstPtr built(AstPtr node, std::size_t child_depth) {
+    if (child_depth >= kMaxTreeDepth) {
+      const std::string message =
+          "expression tree deeper than " + std::to_string(kMaxTreeDepth) + " levels";
+      throw SyntaxError(message, cur().offset);
+    }
+    depth_of_last_ = child_depth + 1;
+    return node;
+  }
+
   /// Holds one nesting level (see kMaxParseDepth) for its lifetime.
   class Nest {
    public:
@@ -51,41 +66,50 @@ class Parser {
   AstPtr parse_expr() {
     AstPtr value = parse_or();
     if (!at(TokKind::KwIf)) return value;
+    std::size_t depth = depth_of_last_;
     take();
     AstPtr cond = parse_or();
+    depth = std::max(depth, depth_of_last_);
     expect(TokKind::KwElse, "'else' in conditional expression");
     const Nest nest(*this);
     AstPtr otherwise = parse_expr();
-    return make_if_else(std::move(value), std::move(cond), std::move(otherwise));
+    depth = std::max(depth, depth_of_last_);
+    return built(make_if_else(std::move(value), std::move(cond), std::move(otherwise)),
+                 depth);
   }
 
   AstPtr parse_or() {
     AstPtr lhs = parse_and();
     if (!at(TokKind::KwOr)) return lhs;
     std::vector<AstPtr> operands{std::move(lhs)};
+    std::size_t depth = depth_of_last_;
     while (at(TokKind::KwOr)) {
       take();
       operands.push_back(parse_and());
+      depth = std::max(depth, depth_of_last_);
     }
-    return make_bool_op(/*is_and=*/false, std::move(operands));
+    return built(make_bool_op(/*is_and=*/false, std::move(operands)), depth);
   }
 
   AstPtr parse_and() {
     AstPtr lhs = parse_not();
     if (!at(TokKind::KwAnd)) return lhs;
     std::vector<AstPtr> operands{std::move(lhs)};
+    std::size_t depth = depth_of_last_;
     while (at(TokKind::KwAnd)) {
       take();
       operands.push_back(parse_not());
+      depth = std::max(depth, depth_of_last_);
     }
-    return make_bool_op(/*is_and=*/true, std::move(operands));
+    return built(make_bool_op(/*is_and=*/true, std::move(operands)), depth);
   }
 
   AstPtr parse_not() {
     if (at(TokKind::KwNot)) {
       take();
       const Nest nest(*this);
-      return make_unary(UnOp::Not, parse_not());
+      AstPtr operand = parse_not();
+      return built(make_unary(UnOp::Not, std::move(operand)), depth_of_last_);
     }
     return parse_comparison();
   }
@@ -130,25 +154,26 @@ class Parser {
     if (!at_cmp_op()) return first;
     std::vector<AstPtr> operands{std::move(first)};
     std::vector<CompareOp> ops;
+    std::size_t depth = depth_of_last_;
     while (at_cmp_op()) {
       ops.push_back(take_cmp_op());
       operands.push_back(parse_arith());
+      depth = std::max(depth, depth_of_last_);
     }
-    return make_compare(std::move(operands), std::move(ops));
+    return built(make_compare(std::move(operands), std::move(ops)), depth);
   }
 
+  // A chain "a + b + c" nests its left operand one node deeper per
+  // operator, so chains count toward kMaxTreeDepth like nesting does.
   AstPtr parse_arith() {
     AstPtr lhs = parse_term();
     for (;;) {
-      if (at(TokKind::Plus)) {
-        take();
-        lhs = make_binary(BinOp::Add, std::move(lhs), parse_term());
-      } else if (at(TokKind::Minus)) {
-        take();
-        lhs = make_binary(BinOp::Sub, std::move(lhs), parse_term());
-      } else {
-        return lhs;
-      }
+      if (!at(TokKind::Plus) && !at(TokKind::Minus)) return lhs;
+      const BinOp op = take().kind == TokKind::Plus ? BinOp::Add : BinOp::Sub;
+      const std::size_t lhs_depth = depth_of_last_;
+      AstPtr rhs = parse_term();
+      lhs = built(make_binary(op, std::move(lhs), std::move(rhs)),
+                  std::max(lhs_depth, depth_of_last_));
     }
   }
 
@@ -162,20 +187,19 @@ class Parser {
       else if (at(TokKind::Percent)) op = BinOp::Mod;
       else return lhs;
       take();
-      lhs = make_binary(op, std::move(lhs), parse_factor());
+      const std::size_t lhs_depth = depth_of_last_;
+      AstPtr rhs = parse_factor();
+      lhs = built(make_binary(op, std::move(lhs), std::move(rhs)),
+                  std::max(lhs_depth, depth_of_last_));
     }
   }
 
   AstPtr parse_factor() {
-    if (at(TokKind::Minus)) {
-      take();
+    if (at(TokKind::Minus) || at(TokKind::Plus)) {
+      const UnOp op = take().kind == TokKind::Minus ? UnOp::Neg : UnOp::Pos;
       const Nest nest(*this);
-      return make_unary(UnOp::Neg, parse_factor());
-    }
-    if (at(TokKind::Plus)) {
-      take();
-      const Nest nest(*this);
-      return make_unary(UnOp::Pos, parse_factor());
+      AstPtr operand = parse_factor();
+      return built(make_unary(op, std::move(operand)), depth_of_last_);
     }
     return parse_power();
   }
@@ -183,10 +207,13 @@ class Parser {
   AstPtr parse_power() {
     AstPtr base = parse_atom();
     if (at(TokKind::DoubleStar)) {
+      const std::size_t base_depth = depth_of_last_;
       take();
       const Nest nest(*this);
       // Right-associative; exponent may carry a unary sign (2 ** -1).
-      return make_binary(BinOp::Pow, std::move(base), parse_factor());
+      AstPtr exponent = parse_factor();
+      return built(make_binary(BinOp::Pow, std::move(base), std::move(exponent)),
+                   std::max(base_depth, depth_of_last_));
     }
     return base;
   }
@@ -199,7 +226,7 @@ class Parser {
       case TokKind::KwTrue:
       case TokKind::KwFalse: {
         Token tok = take();
-        return make_literal(std::move(tok.value));
+        return built(make_literal(std::move(tok.value)), 0);
       }
       case TokKind::Ident: {
         Token tok = take();
@@ -207,16 +234,19 @@ class Parser {
           take();
           const Nest nest(*this);
           std::vector<AstPtr> args;
+          std::size_t depth = 0;
           if (!at(TokKind::RParen)) {
             args.push_back(parse_expr());
+            depth = depth_of_last_;
             while (at(TokKind::Comma)) {
               take();
               if (at(TokKind::RParen)) break;  // trailing comma
               args.push_back(parse_expr());
+              depth = std::max(depth, depth_of_last_);
             }
           }
           expect(TokKind::RParen, "')'");
-          return make_call(std::move(tok.text), std::move(args));
+          return built(make_call(std::move(tok.text), std::move(args)), depth);
         }
         if (at(TokKind::LBracket)) {
           // Kernel Tuner lambda style: p["block_size_x"] is the parameter
@@ -227,9 +257,9 @@ class Parser {
           }
           Token key = take();
           expect(TokKind::RBracket, "']'");
-          return make_var(std::move(key.text));
+          return built(make_var(std::move(key.text)), 0);
         }
-        return make_var(std::move(tok.text));
+        return built(make_var(std::move(tok.text)), 0);
       }
       case TokKind::LParen:
       case TokKind::LBracket: {
@@ -241,20 +271,22 @@ class Parser {
         if (at(close)) {
           // Empty tuple/list.
           take();
-          return make_tuple({});
+          return built(make_tuple({}), 0);
         }
         std::vector<AstPtr> items;
         items.push_back(parse_expr());
+        std::size_t depth = depth_of_last_;
         bool is_tuple = open == TokKind::LBracket;  // lists are always sequences
         while (at(TokKind::Comma)) {
           is_tuple = true;
           take();
           if (at(close)) break;  // trailing comma
           items.push_back(parse_expr());
+          depth = std::max(depth, depth_of_last_);
         }
         expect(close, open == TokKind::LParen ? "')'" : "']'");
         if (!is_tuple) return items[0];  // plain parenthesized group
-        return make_tuple(std::move(items));
+        return built(make_tuple(std::move(items)), depth);
       }
       default:
         throw SyntaxError("expected expression", t.offset);
@@ -264,6 +296,9 @@ class Parser {
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  ///< nesting levels currently held by Nest guards
+  /// Depth of the tree the last parse_* call returned (nodes on its longest
+  /// root-to-leaf path).
+  std::size_t depth_of_last_ = 0;
 };
 
 }  // namespace

@@ -32,8 +32,17 @@ namespace tunespace::expr {
 /// the parser recurses once per level, so the cap bounds its stack use.
 inline constexpr std::size_t kMaxParseDepth = 256;
 
+/// Deepest tree parse() builds, in nodes from the root to the deepest leaf.
+/// Nesting is not its only source: a chain of binary operators nests its
+/// left operand one node deeper per operator, so "a + a + ... + a" is as
+/// deep as it is long.  Every pass over the tree (folding, analysis,
+/// compilation, destruction) recurses once per level, so this cap bounds
+/// their stack use.
+inline constexpr std::size_t kMaxTreeDepth = 1024;
+
 /// Parse a complete expression; throws SyntaxError on malformed input,
-/// trailing tokens or nesting deeper than kMaxParseDepth.
+/// trailing tokens, nesting deeper than kMaxParseDepth or a tree deeper
+/// than kMaxTreeDepth.
 AstPtr parse(const std::string& source);
 
 }  // namespace tunespace::expr

@@ -1,7 +1,8 @@
 #pragma once
 // ParallelBacktracking: multi-threaded variant of the optimized solver.
 //
-// The search tree is split at a configurable prefix depth D: a sequential
+// The search tree is split at a prefix depth D chosen per solve (deep
+// enough for ~8 valid prefixes per worker): a sequential
 // *prefix expansion* enumerates every valid assignment of the first D search
 // positions (charging exactly the effort the sequential search spends on the
 // top D levels), and each valid prefix becomes one task — the subtree below
@@ -31,7 +32,7 @@ class ParallelBacktracking : public Solver {
     parallel_.threads = threads;
   }
 
-  /// Full control over threads and split depth.
+  /// Threads from SolverOptions (the form SearchSpace passes through).
   explicit ParallelBacktracking(SolverOptions parallel,
                                 OptimizedOptions options = {})
       : parallel_(parallel), options_(options) {}

@@ -44,11 +44,10 @@ struct SolveStats {
 /// it).  Neither the solution order nor the effort counters depend on any
 /// of these knobs; they only steer how the deterministic result is computed.
 struct SolverOptions {
-  /// Worker threads; 0 = std::thread::hardware_concurrency().
+  /// Worker threads; 0 = std::thread::hardware_concurrency().  The search
+  /// tree is split into one task per valid assignment prefix, with the
+  /// prefix length grown until ~8 tasks per worker exist.
   std::size_t threads = 0;
-  /// Assignment-prefix length used to split the search tree into tasks;
-  /// 0 = auto (grow until ~8 tasks per worker exist).
-  std::size_t split_depth = 0;
 
   /// Worker count after applying the hardware-concurrency default (>= 1).
   std::size_t resolve_threads() const {

@@ -100,18 +100,14 @@ struct OpenSessionRequest {
   double construction_time_scale = 1.0;
   /// Conjunction of per-parameter restrictions applied to the shared space.
   std::vector<ParamFilter> restrictions;
-  /// Objective set of the session; the default is the legacy single
-  /// objective (maximize gflops), which is also what a v1 envelope with no
-  /// objectives field means.
+  /// Objective set of the session; the default is the single objective
+  /// (maximize gflops), which is also what an open without an objectives
+  /// field means.
   ObjectiveSpec objectives{};
   /// Opt-in cross-session transfer (TuningOptions::warm_start): seed the
   /// session from the service's shared eval cache before the optimizer
-  /// starts.  Absent on the wire means off, so v2 envelopes from older
-  /// clients keep their exact pre-transfer behavior.
+  /// starts.  Absent on the wire means off.
   bool warm_start = false;
-  /// Use the surrogate-guided model-based optimizer regardless of the
-  /// `optimizer` field.  Absent on the wire means off.
-  bool surrogate = false;
 
   friend bool operator==(const OpenSessionRequest&,
                          const OpenSessionRequest&) = default;
@@ -173,10 +169,10 @@ struct SuggestResponse {
   friend bool operator==(const SuggestResponse&, const SuggestResponse&) = default;
 };
 
-/// Report the measurement of the outstanding suggestion.  v2 clients fill
-/// `measurement` (the full objective vector, mirrored into `gflops`); v1
-/// clients fill only `gflops`, which the service widens to a gflops-only
-/// vector.  When both are set, `measurement` wins.
+/// Report the measurement of the outstanding suggestion: either the full
+/// objective vector in `measurement` (mirrored into `gflops`), or only
+/// `gflops`, which the service widens to a gflops-only vector.  When both
+/// are set, `measurement` wins.
 struct ReportRequest {
   std::uint64_t session_id = 0;
   double gflops = 0;

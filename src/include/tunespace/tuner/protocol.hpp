@@ -6,18 +6,19 @@
 // ...fields}; responses are {"ok": true, ...fields} on success and
 // {"ok": false, "error": {"code": "...", "message": "..."}} on failure,
 // where code is the stable error_code_name of the ServiceError the request
-// raised.  Operations: hello, ping, open, suggest, report, best, info,
-// stats, close, drain.
+// raised.  Operations: ping, open, suggest, report, best, info, stats,
+// close, drain.
 //
-// Versioning: protocol v2 adds the "hello" negotiation op, an optional "v"
-// field on every request envelope (absent means 1), and objective-map
-// fields ("objectives", "measurement", "best", "best_score", "front") on
-// the session ops.  Compatibility is by construction: v2 readers treat
-// every new field as optional with v1 semantics as the default (a missing
-// objectives field IS the single-objective spec), and v1 readers ignore
-// unknown fields, so a v1 client against a v2 server keeps working without
-// negotiating.  A server rejects only requests whose "v" exceeds its own
-// version, with the typed kUnsupportedVersion error.
+// Versioning: the wire has one version, kProtocolVersion, and the library
+// client stamps it as "v" on every request.  A server rejects only requests
+// whose "v" exceeds its own version, with the typed kUnsupportedVersion
+// error.  Every other field a request may omit has a default, so callers
+// outside the library (curl, scripts, clients built against an older
+// version) are still served: an absent "v" is accepted, an absent
+// objectives field is the single-objective spec, a report with only the
+// scalar "gflops" is a gflops-only measurement, and an open body with
+// "surrogate": true selects the surrogate optimizer.  Readers ignore
+// fields they do not know.
 //
 // Everything here is transport-agnostic: framing runs over the abstract
 // ByteStream (a socket in server.hpp / service_client.hpp, an in-memory
@@ -42,29 +43,10 @@ namespace tunespace::tuner::wire {
 /// message).
 inline constexpr std::uint32_t kMaxFrameBytes = 16u * 1024u * 1024u;
 
-/// The wire protocol version this build speaks.  History:
-///   1 — PR 7: scalar gflops measurements, no negotiation.
-///   2 — objective vectors (Measurement maps, ObjectiveSpec, Pareto front)
-///       and the "hello" negotiation op.
+/// The wire protocol version this build speaks and stamps.  History:
+///   1 — scalar gflops measurements.
+///   2 — objective vectors (Measurement maps, ObjectiveSpec, Pareto front).
 inline constexpr int kProtocolVersion = 2;
-
-/// The "hello" negotiation op: the client announces the highest version it
-/// speaks; the server answers with the version the connection will use
-/// (min(client max, server version)) plus its own version for diagnostics.
-/// Optional — a client that never sends hello is treated as v1-compatible
-/// field-wise, which v2 servers accept by construction.
-struct HelloRequest {
-  int max_version = kProtocolVersion;
-
-  friend bool operator==(const HelloRequest&, const HelloRequest&) = default;
-};
-
-struct HelloResponse {
-  int version = 1;                         ///< negotiated for this connection
-  int server_version = kProtocolVersion;   ///< what the server speaks
-
-  friend bool operator==(const HelloResponse&, const HelloResponse&) = default;
-};
 
 /// Blocking byte stream the framing runs over.
 class ByteStream {
@@ -181,12 +163,6 @@ util::json::Value to_json(const ParetoPoint& point);
 ParetoPoint pareto_point_from_json(const util::json::Value& value);
 
 // -- api.hpp struct codecs ---------------------------------------------------
-
-util::json::Value to_json(const HelloRequest& request);
-HelloRequest hello_request_from_json(const util::json::Value& value);
-
-util::json::Value to_json(const HelloResponse& response);
-HelloResponse hello_response_from_json(const util::json::Value& value);
 
 util::json::Value to_json(const OpenSessionRequest& request);
 OpenSessionRequest open_session_request_from_json(const util::json::Value& value);

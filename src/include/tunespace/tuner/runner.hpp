@@ -96,13 +96,12 @@ struct TuningOptions {
   /// Opt-in cross-session transfer: seed the session with the shared eval
   /// cache's best rows for its cache fingerprint before the optimizer
   /// starts.  Seeds are ranked by scalarized score (descending, ties by
-  /// ascending parent row), capped at `warm_start_top_k`, and charged as
+  /// ascending parent row), capped at the best 8, and charged as
   /// normal evaluations — they advance the clock, count into the
   /// trajectory/front and consume budget exactly like optimizer-requested
   /// rows.  Hard gate: with the option off, or with no cached rows for the
   /// fingerprint, the session is bit-identical to a cold run.
   bool warm_start = false;
-  std::size_t warm_start_top_k = 8;
 };
 
 }  // namespace tunespace::tuner

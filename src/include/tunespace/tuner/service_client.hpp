@@ -8,11 +8,8 @@
 // stable code survives the wire — so in-process TuningService code and
 // remote-client code handle failures identically.
 //
-// connect() negotiates the protocol version with a "hello" round trip: the
-// connection speaks min(our kProtocolVersion, server's version).  A v1
-// server answers hello with kProtocol (unknown op), which the client treats
-// as "speak v1".  Requests carry a "v" field only when the negotiated
-// version is above 1, so v1 request bytes are unchanged.
+// Every request carries "v": wire::kProtocolVersion.  A server of an older
+// version rejects it with kUnsupportedVersion rather than misreading it.
 
 #include <cstdint>
 #include <string>
@@ -28,10 +25,6 @@ struct ServiceClientOptions {
   /// connect() retries until this deadline — tolerates a server that is
   /// still binding when the client starts.
   double connect_timeout_seconds = 10.0;
-  /// 0 negotiates via "hello"; a positive value skips negotiation and pins
-  /// the connection to that protocol version (e.g. 1 to emit pure v1 bytes
-  /// against any server).
-  int force_version = 0;
 };
 
 class ServiceClient {
@@ -46,10 +39,6 @@ class ServiceClient {
   void disconnect() noexcept;
   bool connected() const { return fd_ >= 0; }
 
-  /// Protocol version this connection speaks (negotiated or forced); 0 when
-  /// disconnected.
-  int negotiated_version() const { return version_; }
-
   bool ping();
   OpenSessionResponse open(const OpenSessionRequest& request);
   SuggestResponse suggest(std::uint64_t session_id);
@@ -61,10 +50,9 @@ class ServiceClient {
   DrainResponse drain(const DrainRequest& request = {});
 
  private:
-  util::json::Value call(const std::string& op, const util::json::Value& body);
+  util::json::Value call(const std::string& op, util::json::Value body);
 
   int fd_ = -1;
-  int version_ = 0;
 };
 
 }  // namespace tunespace::tuner

@@ -219,10 +219,6 @@ class SessionStepper {
   /// advances the clock, memoizes, and extends the trajectory and front.
   void report(const Measurement& measurement, double measure_seconds = -1.0);
 
-  /// Scalar shim over report(Measurement): a gflops-only measurement, the
-  /// v1 wire shape.  Components beyond gflops are unmeasured (zero).
-  void report(double gflops, double measure_seconds = -1.0);
-
   /// Abort the optimizer and finalize with the partial TuningRun (idempotent).
   void cancel();
 
@@ -454,7 +450,8 @@ std::vector<std::unique_ptr<Optimizer>> default_portfolio();
 void save_shared_eval_cache(const SharedEvalCache& cache,
                             const std::string& path);
 
-/// Merge a TSEC file (version 1 or 2) into `cache`; returns the rows read.
+/// Merge a TSEC 2 file into `cache`; returns the rows read (0 for a missing
+/// file or a file of any other format or version, which starts cold).
 /// Insertion goes through SharedEvalCache::insert, so merging is
 /// first-insert-wins: loading files with overlapping keys keeps whichever
 /// value got there first, and loading them in any order yields the same

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 
+#include "tunespace/searchspace/io.hpp"
 #include "tunespace/util/rng.hpp"
 #include "tunespace/util/timer.hpp"
 
@@ -195,12 +196,19 @@ std::optional<std::size_t> SearchSpace::find(
   if (index_row.size() != num_params() || hash_table_.empty()) {
     return std::nullopt;
   }
+  // A snapshot loaded at SnapshotVerify::kShape borrows the table
+  // unchecked, so its slots are range-checked here, where they are read,
+  // and a table without an empty slot ends the probe after one lap.
+  const std::size_t n = size();
   const std::size_t tmask = hash_table_.size() - 1;
   std::size_t i = static_cast<std::size_t>(row_hash(index_row.data())) & tmask;
-  for (; hash_table_[i] != kEmptySlot; i = (i + 1) & tmask) {
-    if (row_equals(hash_table_[i], index_row.data())) return hash_table_[i];
+  for (std::size_t probe = 0; probe <= tmask; ++probe, i = (i + 1) & tmask) {
+    const std::uint32_t row = hash_table_[i];
+    if (row == kEmptySlot) return std::nullopt;
+    if (row >= n) throw SnapshotError("row-table slot out of range");
+    if (row_equals(row, index_row.data())) return row;
   }
-  return std::nullopt;
+  throw SnapshotError("row table has no empty slot");
 }
 
 std::optional<std::size_t> SearchSpace::find_config(const csp::Config& config) const {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "tunespace/searchspace/io.hpp"
 #include "tunespace/util/timer.hpp"
 
 namespace tunespace::searchspace {
@@ -61,6 +62,11 @@ std::vector<std::uint32_t> posting_union(const SearchSpace& parent,
   std::vector<std::uint32_t> rows = merge_lists(lists, 0, lists.size());
   assert(rows.size() == total);
   (void)total;
+  // A snapshot loaded at SnapshotVerify::kShape borrows the posting rows
+  // unchecked; a row id past the end would index the columns out of bounds.
+  std::uint32_t max_row = 0;
+  for (std::uint32_t r : rows) max_row = std::max(max_row, r);
+  if (max_row >= parent.size()) throw SnapshotError("posting row out of range");
   return rows;
 }
 

@@ -14,30 +14,26 @@ namespace {
 /// pool (and per-task bookkeeping) bounded on spaces with huge level fan-out.
 constexpr std::uint64_t kMaxAutoCandidates = 1u << 20;
 
-/// Auto split-depth granularity target: valid prefixes (tasks) per worker.
+/// Split granularity target: valid prefixes (tasks) per worker.
 constexpr std::size_t kTasksPerWorker = 8;
 
-/// Initial guess for the prefix split depth: grow until the Cartesian
-/// fan-out of the first `depth` search positions reaches ~kTasksPerWorker
-/// tasks per worker, staying above the old first-variable-only
-/// decomposition (depth 1) and below a full enumeration (depth n-1).  The
-/// solve loop deepens further when pruning leaves too few *valid* prefixes
-/// at this depth.
-std::size_t initial_split_depth(const detail::SearchPlan& plan,
-                                const SolverOptions& options,
-                                std::size_t workers) {
+/// Initial guess for the prefix length the search tree is split at: grow
+/// until the Cartesian fan-out of the first `depth` search positions
+/// reaches ~kTasksPerWorker tasks per worker, staying above the old
+/// first-variable-only decomposition (depth 1) and below a full enumeration
+/// (depth n-1).  The solve loop deepens further when pruning leaves too few
+/// *valid* prefixes at this depth.
+std::size_t initial_prefix_depth(const detail::SearchPlan& plan,
+                                 std::size_t workers) {
   const std::size_t n = plan.order.size();
-  std::size_t depth = options.split_depth;
-  if (depth == 0) {
-    const std::uint64_t target = workers * kTasksPerWorker;
-    std::uint64_t product = 1;
-    while (depth + 1 < n && product < target) {
-      const std::uint64_t next =
-          product * plan.domains[plan.order[depth]].size();
-      if (depth > 0 && next > kMaxAutoCandidates) break;
-      product = next;
-      ++depth;
-    }
+  const std::uint64_t target = workers * kTasksPerWorker;
+  std::uint64_t product = 1;
+  std::size_t depth = 0;
+  while (depth + 1 < n && product < target) {
+    const std::uint64_t next = product * plan.domains[plan.order[depth]].size();
+    if (depth > 0 && next > kMaxAutoCandidates) break;
+    product = next;
+    ++depth;
   }
   return std::clamp<std::size_t>(depth, 1, n - 1);
 }
@@ -84,7 +80,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   // trigger, because the surviving top tree is narrow.  Only the accepted
   // expansion's counters are recorded, so expansion + task counters still
   // sum to the sequential totals.
-  std::size_t depth = initial_split_depth(plan, parallel_, workers);
+  std::size_t depth = initial_prefix_depth(plan, workers);
   const std::size_t task_target = workers * kTasksPerWorker;
   std::vector<std::uint32_t> prefixes;  // depth entries per task, rank order
   for (;;) {
@@ -97,8 +93,8 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
       }
     }
     const std::size_t tasks = prefixes.size() / depth;
-    if (parallel_.split_depth == 0 && depth + 1 < n && tasks > 0 &&
-        tasks < task_target && tasks < kMaxAutoCandidates) {
+    if (depth + 1 < n && tasks > 0 && tasks < task_target &&
+        tasks < kMaxAutoCandidates) {
       ++depth;
       continue;
     }

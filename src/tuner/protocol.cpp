@@ -321,7 +321,7 @@ std::vector<NamedValue> config_from_json(const Value& value) {
 }
 
 // ---------------------------------------------------------------------------
-// Objective vectors and specs (protocol v2)
+// Objective vectors and specs
 // ---------------------------------------------------------------------------
 
 Value to_json(const Measurement& measurement) {
@@ -364,7 +364,7 @@ ObjectiveSpec objective_spec_from_json(const Value& value) {
     objective.weight = entry.at("weight").as_double(objective.weight);
     spec.objectives.push_back(std::move(objective));
   }
-  // An empty array is as meaningless as an absent field: both mean v1, the
+  // An empty array is as meaningless as an absent field: both mean the
   // single-objective default.
   if (spec.objectives.empty()) spec = ObjectiveSpec{};
   return spec;
@@ -394,36 +394,6 @@ ParetoPoint pareto_point_from_json(const Value& value) {
 // api.hpp structs
 // ---------------------------------------------------------------------------
 
-Value to_json(const HelloRequest& request) {
-  Value body = Value::object();
-  body.set("max_version", static_cast<std::int64_t>(request.max_version));
-  return body;
-}
-
-HelloRequest hello_request_from_json(const Value& value) {
-  HelloRequest request;
-  request.max_version = static_cast<int>(
-      value.at("max_version").as_int(request.max_version));
-  return request;
-}
-
-Value to_json(const HelloResponse& response) {
-  Value body = Value::object();
-  body.set("version", static_cast<std::int64_t>(response.version));
-  body.set("server_version",
-           static_cast<std::int64_t>(response.server_version));
-  return body;
-}
-
-HelloResponse hello_response_from_json(const Value& value) {
-  HelloResponse response;
-  response.version =
-      static_cast<int>(value.at("version").as_int(response.version));
-  response.server_version = static_cast<int>(
-      value.at("server_version").as_int(response.server_version));
-  return response;
-}
-
 Value to_json(const OpenSessionRequest& request) {
   Value body = Value::object();
   body.set("tenant", request.tenant);
@@ -444,15 +414,12 @@ Value to_json(const OpenSessionRequest& request) {
     }
     body.set("restrictions", std::move(restrictions));
   }
-  // Only the non-default spec crosses the wire: a scalar open keeps its v1
-  // bytes, and an absent field already means single-objective to v2 readers.
+  // Only the non-default spec crosses the wire: an absent field means the
+  // single-objective spec.
   if (!request.objectives.is_single()) {
     body.set("objectives", to_json(request.objectives));
   }
-  // Transfer-learning flags ride the same absent-means-off convention, so a
-  // cold open's envelope is byte-identical to the pre-transfer wire.
   if (request.warm_start) body.set("warm_start", true);
-  if (request.surrogate) body.set("surrogate", true);
   return body;
 }
 
@@ -486,9 +453,9 @@ OpenSessionRequest open_session_request_from_json(const Value& value) {
   if (const Value* warm = value.find("warm_start")) {
     request.warm_start = warm->as_bool();
   }
-  if (const Value* surrogate = value.find("surrogate")) {
-    request.surrogate = surrogate->as_bool();
-  }
+  // Callers outside the library may name the surrogate optimizer with a
+  // flag; it wins over the optimizer field.
+  if (value.at("surrogate").as_bool()) request.optimizer = "surrogate";
   return request;
 }
 
@@ -540,24 +507,11 @@ SessionInfo session_info_from_json(const Value& value) {
   info.evaluations = value.at("evaluations").as_uint();
   info.shared_cache_hits = value.at("shared_cache_hits").as_uint();
   info.model_evaluations = value.at("model_evaluations").as_uint();
-  // v1-shape reconstruction: a scalar envelope means the single-objective
-  // spec with the incumbent's vector rebuilt from best_gflops.
-  if (const Value* objectives = value.find("objectives")) {
-    info.objectives = objective_spec_from_json(*objectives);
-  }
-  info.best_score = value.at("best_score").as_double(info.best_gflops);
-  if (const Value* best = value.find("best")) {
-    info.best = measurement_from_json(*best);
-  } else {
-    info.best = Measurement{info.best_gflops, 0.0};
-  }
-  // Absent on envelopes from pre-transfer servers: zero.
-  if (const Value* seeded = value.find("seeded_rows")) {
-    info.seeded_rows = seeded->as_uint();
-  }
-  if (const Value* refits = value.find("surrogate_refits")) {
-    info.surrogate_refits = refits->as_uint();
-  }
+  info.objectives = objective_spec_from_json(value.at("objectives"));
+  info.best_score = value.at("best_score").as_double();
+  info.best = measurement_from_json(value.at("best"));
+  info.seeded_rows = value.at("seeded_rows").as_uint();
+  info.surrogate_refits = value.at("surrogate_refits").as_uint();
   return info;
 }
 
@@ -606,9 +560,8 @@ Value to_json(const ReportRequest& request) {
   body.set("session_id", request.session_id);
   body.set("gflops", request.gflops);
   body.set("measure_seconds", request.measure_seconds);
-  // The objective map rides only on vector reports, so scalar reports keep
-  // their v1 bytes; the gflops mirror above stays authoritative for v1
-  // readers either way.
+  // The objective map rides only on vector reports: a scalar report is
+  // its gflops alone.
   if (request.measurement != Measurement{}) {
     body.set("measurement", to_json(request.measurement));
   }
@@ -648,12 +601,8 @@ ReportResponse report_response_from_json(const Value& value) {
   response.best_gflops = value.at("best_gflops").as_double();
   response.now_seconds = value.at("now_seconds").as_double();
   response.evaluations = value.at("evaluations").as_uint();
-  response.best_score = value.at("best_score").as_double(response.best_gflops);
-  if (const Value* best = value.find("best")) {
-    response.best = measurement_from_json(*best);
-  } else {
-    response.best = Measurement{response.best_gflops, 0.0};
-  }
+  response.best_score = value.at("best_score").as_double();
+  response.best = measurement_from_json(value.at("best"));
   return response;
 }
 
@@ -678,12 +627,8 @@ BestResponse best_response_from_json(const Value& value) {
   response.now_seconds = value.at("now_seconds").as_double();
   response.evaluations = value.at("evaluations").as_uint();
   response.finished = value.at("finished").as_bool();
-  response.best_score = value.at("best_score").as_double(response.best_gflops);
-  if (const Value* best = value.find("best")) {
-    response.best = measurement_from_json(*best);
-  } else {
-    response.best = Measurement{response.best_gflops, 0.0};
-  }
+  response.best_score = value.at("best_score").as_double();
+  response.best = measurement_from_json(value.at("best"));
   return response;
 }
 
@@ -725,24 +670,12 @@ RunSummary run_summary_from_json(const Value& value) {
     point.time_seconds = entry.at("time_seconds").as_double();
     point.best_gflops = entry.at("best_gflops").as_double();
     point.evaluations = entry.at("evaluations").as_uint();
-    // v1-shape trajectory entries carry no measurement: the scalar is the
-    // whole vector.
-    if (const Value* measurement = entry.find("measurement")) {
-      point.measurement = measurement_from_json(*measurement);
-    } else {
-      point.measurement = Measurement{point.best_gflops, 0.0};
-    }
+    point.measurement = measurement_from_json(entry.at("measurement"));
     run.trajectory.push_back(std::move(point));
   }
-  if (const Value* objectives = value.find("objectives")) {
-    run.objectives = objective_spec_from_json(*objectives);
-  }
-  run.best_score = value.at("best_score").as_double(run.best_gflops);
-  if (const Value* best = value.find("best")) {
-    run.best = measurement_from_json(*best);
-  } else {
-    run.best = Measurement{run.best_gflops, 0.0};
-  }
+  run.objectives = objective_spec_from_json(value.at("objectives"));
+  run.best_score = value.at("best_score").as_double();
+  run.best = measurement_from_json(value.at("best"));
   for (const auto& entry : value.at("front").items()) {
     run.front.push_back(pareto_point_from_json(entry));
   }
@@ -792,13 +725,8 @@ ServiceStats service_stats_from_json(const Value& value) {
   stats.cache_misses = value.at("cache_misses").as_uint();
   stats.spaces_built = value.at("spaces_built").as_uint();
   stats.spaces_shared = value.at("spaces_shared").as_uint();
-  // Absent on envelopes from pre-transfer servers: zero.
-  if (const Value* seeded = value.find("seeded_rows")) {
-    stats.seeded_rows = seeded->as_uint();
-  }
-  if (const Value* refits = value.find("surrogate_refits")) {
-    stats.surrogate_refits = refits->as_uint();
-  }
+  stats.seeded_rows = value.at("seeded_rows").as_uint();
+  stats.surrogate_refits = value.at("surrogate_refits").as_uint();
   return stats;
 }
 

@@ -147,25 +147,14 @@ struct ServiceServer::Impl {
   std::string dispatch(const std::string& op, const Value& body,
                        bool& exit_after_reply) {
     // Version gate: a request stamped with a "v" beyond what this server
-    // speaks gets the typed error instead of a silent misparse.  An absent
-    // "v" means 1, which every v2 reader accepts by construction.
-    const int v = static_cast<int>(body.at("v").as_int(1));
+    // speaks gets the typed error instead of a silent misparse.  A request
+    // without "v" is served: its absent fields take their defaults.
+    const std::int64_t v = body.at("v").as_int(wire::kProtocolVersion);
     if (v > wire::kProtocolVersion) {
       throw ServiceError(ErrorCode::kUnsupportedVersion,
                          "request version " + std::to_string(v) +
                              " exceeds server protocol version " +
                              std::to_string(wire::kProtocolVersion));
-    }
-    if (op == "hello") {
-      const wire::HelloRequest request = wire::hello_request_from_json(body);
-      if (request.max_version < 1) {
-        throw ServiceError(ErrorCode::kUnsupportedVersion,
-                           "client max_version must be >= 1");
-      }
-      wire::HelloResponse response;
-      response.version = std::min(request.max_version, wire::kProtocolVersion);
-      response.server_version = wire::kProtocolVersion;
-      return wire::encode_ok(wire::to_json(response));
     }
     if (op == "ping") {
       Value reply = Value::object();

@@ -193,13 +193,8 @@ OpenSessionResponse TuningService::open(const OpenSessionRequest& request) {
   require_finite_nonnegative(request.overhead_per_request, "overhead_per_request");
   require_finite_nonnegative(request.construction_time_scale,
                              "construction_time_scale");
-  // A surrogate=true open wins over whatever the optimizer field says — the
-  // flag is the v2-compatible way to request model-based search.
   auto optimizer = make_optimizer(
-      request.surrogate
-          ? std::string("surrogate")
-          : (request.optimizer.empty() ? std::string("random-sampling")
-                                       : request.optimizer));
+      request.optimizer.empty() ? std::string("random-sampling") : request.optimizer);
   const Method method = resolve_method(request.method);
 
   // Admission control: reserve a slot under the registry lock, so the
@@ -339,13 +334,12 @@ ReportResponse TuningService::report(const ReportRequest& request) {
   std::lock_guard<std::mutex> lock(session->mutex);
   const double best_before = session->stepper->run().best_score;
   const bool had_best = !session->stepper->run().trajectory.empty();
-  // v2 clients fill the full measurement vector; v1 clients fill only the
-  // scalar gflops field (an all-zero vector marks it unset).
-  if (request.measurement != Measurement{}) {
-    session->stepper->report(request.measurement, request.measure_seconds);
-  } else {
-    session->stepper->report(request.gflops, request.measure_seconds);
-  }
+  // A report carries the full measurement vector or only the scalar gflops
+  // field (an all-zero vector marks it unset).
+  session->stepper->report(request.measurement != Measurement{}
+                               ? request.measurement
+                               : Measurement{request.gflops, 0.0},
+                           request.measure_seconds);
   ReportResponse response;
   response.session_id = session->id;
   response.best_gflops = session->stepper->run().best_gflops;

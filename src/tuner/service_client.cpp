@@ -27,45 +27,20 @@ void ServiceClient::connect(const ServiceClientOptions& options) {
   disconnect();
   fd_ = net::connect_tcp(options.host, options.port,
                          options.connect_timeout_seconds);
-  if (options.force_version > 0) {
-    version_ = options.force_version;
-    return;
-  }
-  // Negotiate via hello.  A v1 server answers with kProtocol (unknown op);
-  // treat that as "the server speaks v1" rather than a failure.
-  version_ = 1;  // requests issued before negotiation completes are v1-shaped
-  try {
-    const wire::HelloResponse hello = wire::hello_response_from_json(
-        call("hello", wire::to_json(wire::HelloRequest{})));
-    version_ = hello.version;
-  } catch (const ServiceError& e) {
-    if (e.code() != ErrorCode::kProtocol) {
-      disconnect();
-      throw;
-    }
-  }
 }
 
 void ServiceClient::disconnect() noexcept {
   net::close_fd(fd_);
   fd_ = -1;
-  version_ = 0;
 }
 
-Value ServiceClient::call(const std::string& op, const Value& body) {
+Value ServiceClient::call(const std::string& op, Value body) {
   if (fd_ < 0) {
     throw ServiceError(ErrorCode::kIo, "client is not connected");
   }
   net::FdStream stream(fd_);
-  // Stamp "v" only above 1 so a v1-negotiated connection emits byte-for-byte
-  // v1 envelopes (hello itself is never stamped: it IS the negotiation).
-  if (version_ > 1 && op != "hello") {
-    Value stamped = body;
-    stamped.set("v", static_cast<std::int64_t>(version_));
-    wire::write_frame(stream, wire::encode_request(op, stamped));
-  } else {
-    wire::write_frame(stream, wire::encode_request(op, body));
-  }
+  body.set("v", static_cast<std::int64_t>(wire::kProtocolVersion));
+  wire::write_frame(stream, wire::encode_request(op, body));
   auto frame = wire::read_frame(stream);
   if (!frame.has_value()) {
     throw ServiceError(ErrorCode::kIo, "server closed the connection");

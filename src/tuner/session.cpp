@@ -234,6 +234,9 @@ void insert_non_dominated(std::vector<ParetoPoint>& front, const ParetoPoint& po
 /// escapes the stepper's worker thread.
 struct AbortStepper {};
 
+/// Cached rows a warm start charges at most (TuningOptions::warm_start).
+constexpr std::size_t kWarmStartSeeds = 8;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -340,15 +343,14 @@ class SessionCore {
 };
 
 void SessionCore::seed_from_cache() {
-  // Warm start (opt-in): charge the cache's best rows for this fingerprint
-  // as the session's first evaluations, before the optimizer starts.  Every
-  // seed is a guaranteed cache hit (the entry was just enumerated and the
-  // cache never evicts), so measure_row never reaches the fetch.  With the
-  // option off or the cache cold this is a no-op — no clock charge, no Rng
-  // draw — keeping the session bit-identical to a cold run.
-  if (!options.warm_start || shared_cache == nullptr || options.warm_start_top_k == 0) {
-    return;
-  }
+  // Warm start (opt-in): charge the cache's kWarmStartSeeds best rows for
+  // this fingerprint as the session's first evaluations, before the
+  // optimizer starts.  Every seed is a guaranteed cache hit (the entry was
+  // just enumerated and the cache never evicts), so measure_row never
+  // reaches the fetch.  With the option off or the cache cold this is a
+  // no-op — no clock charge, no Rng draw — keeping the session
+  // bit-identical to a cold run.
+  if (!options.warm_start || shared_cache == nullptr) return;
   struct Seed {
     double score;
     std::size_t local;
@@ -364,9 +366,7 @@ void SessionCore::seed_from_cache() {
   // break by ascending row — the documented deterministic seeding order.
   std::stable_sort(seeds.begin(), seeds.end(),
                    [](const Seed& a, const Seed& b) { return a.score > b.score; });
-  if (seeds.size() > options.warm_start_top_k) {
-    seeds.resize(options.warm_start_top_k);
-  }
+  if (seeds.size() > kWarmStartSeeds) seeds.resize(kWarmStartSeeds);
   for (const Seed& seed : seeds) {
     if (clock.now() >= options.budget_seconds) break;
     // Charged through the normal request flow (overhead, evaluation cost,
@@ -404,8 +404,8 @@ Measurement SessionCore::measure_row(std::size_t row) {
     const auto [reply, reply_seconds] = fetch({row, parent_row, view.config(row)});
     // Mask to the session's objective set *before* any session state sees
     // the vector: a session only records what it asked to measure, which
-    // is what keeps closed-loop, ask/tell and v1-wire replays of the same
-    // session bit-identical.
+    // is what keeps closed-loop, ask/tell and scalar-report wire replays of
+    // the same session bit-identical.
     measured = options.objectives.mask(reply);
     cost_seconds = reply_seconds >= 0 ? reply_seconds : cost(measured);
     if (stats) stats->model_evaluations++;
@@ -516,10 +516,6 @@ std::optional<Suggestion> SessionStepper::suggest() {
   }
   finalize();  // the optimizer returned: budget exhausted or space swept
   return std::nullopt;
-}
-
-void SessionStepper::report(double gflops, double measure_seconds) {
-  report(Measurement{gflops, 0.0}, measure_seconds);
 }
 
 void SessionStepper::report(const Measurement& measurement,
@@ -968,7 +964,6 @@ void save_shared_eval_cache(const SharedEvalCache& cache,
   });
   // Measurements are doubles round-tripped as raw bit patterns, so a warm
   // restart serves bit-identical values and never perturbs a session.
-  // TSEC 2 appends a watts column to the v1 (fp, row, gflops) rows.
   std::string text = "TSEC 2\n";
   char line[72];
   for (const Entry& entry : entries) {
@@ -995,31 +990,19 @@ std::size_t load_shared_eval_cache(SharedEvalCache& cache,
   char magic[8] = {0};
   int version = 0;
   if (std::fscanf(file, "%7s %d", magic, &version) != 2 ||
-      std::string_view(magic) != "TSEC" || (version != 1 && version != 2)) {
+      std::string_view(magic) != "TSEC" || version != 2) {
     std::fclose(file);
     return 0;  // stale or foreign format: start cold
   }
   std::size_t rows_read = 0;
-  if (version == 1) {
-    // Legacy scalar rows: widen each to a gflops-only measurement vector.
-    unsigned long long fingerprint = 0, row = 0, bits = 0;
-    while (std::fscanf(file, "%llx %llx %llx", &fingerprint, &row, &bits) == 3) {
-      cache.insert(
-          static_cast<std::uint64_t>(fingerprint), static_cast<std::uint64_t>(row),
-          Measurement{std::bit_cast<double>(static_cast<std::uint64_t>(bits)),
-                      0.0});
-      rows_read++;
-    }
-  } else {
-    unsigned long long fingerprint = 0, row = 0, gflops = 0, watts = 0;
-    while (std::fscanf(file, "%llx %llx %llx %llx", &fingerprint, &row, &gflops,
-                       &watts) == 4) {
-      cache.insert(
-          static_cast<std::uint64_t>(fingerprint), static_cast<std::uint64_t>(row),
-          Measurement{std::bit_cast<double>(static_cast<std::uint64_t>(gflops)),
-                      std::bit_cast<double>(static_cast<std::uint64_t>(watts))});
-      rows_read++;
-    }
+  unsigned long long fingerprint = 0, row = 0, gflops = 0, watts = 0;
+  while (std::fscanf(file, "%llx %llx %llx %llx", &fingerprint, &row, &gflops,
+                     &watts) == 4) {
+    cache.insert(
+        static_cast<std::uint64_t>(fingerprint), static_cast<std::uint64_t>(row),
+        Measurement{std::bit_cast<double>(static_cast<std::uint64_t>(gflops)),
+                    std::bit_cast<double>(static_cast<std::uint64_t>(watts))});
+    rows_read++;
   }
   std::fclose(file);
   return rows_read;

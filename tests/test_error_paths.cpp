@@ -1,5 +1,6 @@
 // Error-path coverage for searchspace/io (per-section snapshot corruption,
-// header field corruption, CSV rejection messages) and searchspace/query
+// header field corruption, out-of-range row ids in a shape-verified
+// snapshot, CSV rejection messages) and searchspace/query
 // (unknown predicate names in every condition kind, the full behavior of
 // empty-selection views).
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "tunespace/searchspace/neighbors.hpp"
 #include "tunespace/searchspace/sampling.hpp"
 #include "tunespace/searchspace/view.hpp"
+#include "tunespace/spaces/realworld.hpp"
 #include "tunespace/tuner/runner.hpp"
 #include "tunespace/tuner/session.hpp"
 #include "tunespace/util/rng.hpp"
@@ -40,9 +42,9 @@ constexpr std::size_t kSectionCount = 4;
 struct TempSnapshot {
   std::string dir = "test_error_paths_scratch";
   std::string path = dir + "/space.tss";
-  tuner::TuningProblem spec = tiny_spec();
+  tuner::TuningProblem spec;
 
-  TempSnapshot() {
+  explicit TempSnapshot(tuner::TuningProblem s = tiny_spec()) : spec(std::move(s)) {
     std::filesystem::create_directories(dir);
     const searchspace::SearchSpace space(spec);
     searchspace::save_snapshot(space, path);
@@ -73,6 +75,48 @@ struct TempSnapshot {
     return v;
   }
 };
+
+/// Rewrite each of `count` u32 row ids stored from byte `at` of a snapshot
+/// image as `rewrite(id)`.
+template <typename Rewrite>
+void rewrite_u32s(std::string& data, std::uint64_t at, std::uint64_t count,
+                  Rewrite rewrite) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::uint32_t id = 0;
+    std::memcpy(&id, data.data() + at + 4 * i, sizeof id);
+    id = rewrite(id);
+    std::memcpy(data.data() + at + 4 * i, &id, sizeof id);
+  }
+}
+
+/// Rewrite the row-table slots of a snapshot image (section 3: a u64 slot
+/// count, then one u32 per slot).
+template <typename Rewrite>
+void rewrite_row_table(const TempSnapshot& snap, std::string& data, Rewrite rewrite) {
+  const std::uint64_t offset = snap.table_u64(data, 2, 8);
+  std::uint64_t count = 0;
+  std::memcpy(&count, data.data() + offset, sizeof count);
+  rewrite_u32s(data, offset + 8, count, rewrite);
+}
+
+/// Rewrite the posting rows of a snapshot image (section 4: u64 offset
+/// count, u64 row count, the u64 offsets, then one u32 per row).
+template <typename Rewrite>
+void rewrite_posting_rows(const TempSnapshot& snap, std::string& data,
+                          Rewrite rewrite) {
+  const std::uint64_t offset = snap.table_u64(data, 3, 8);
+  std::uint64_t counts[2];
+  std::memcpy(counts, data.data() + offset, sizeof counts);
+  rewrite_u32s(data, offset + 16 + counts[0] * 8, counts[1], rewrite);
+}
+
+/// Row `row` of `space` as value indices, the key SearchSpace::find takes.
+std::vector<std::uint32_t> index_row(const searchspace::SearchSpace& space,
+                                     std::size_t row) {
+  std::vector<std::uint32_t> out(space.num_params());
+  for (std::size_t p = 0; p < out.size(); ++p) out[p] = space.value_index(row, p);
+  return out;
+}
 
 }  // namespace
 
@@ -178,6 +222,73 @@ TEST(SnapshotErrorPaths, LoadOrBuildFallsBackToAFreshBuildOnCorruption) {
   // The rebuild repaired the cache entry: the next load is a clean hit.
   EXPECT_NO_THROW(searchspace::load_snapshot(snap.spec, entry,
                                              SnapshotVerify::kFull));
+}
+
+// --- Row ids a shape-verified snapshot does not check -------------------------
+// SnapshotVerify::kShape borrows the row table and the posting rows without a
+// pass over them (that pass would cost more than the load), so the readers
+// range-check the ids they take from them.
+
+TEST(SnapshotErrorPaths, OutOfRangeRowTableSlotsAreRejectedWhereRead) {
+  TempSnapshot snap(spaces::dedispersion().spec);
+  std::string corrupt = snap.bytes();
+  std::size_t occupied = 0;
+  rewrite_row_table(snap, corrupt, [&](std::uint32_t slot) {
+    if (slot == 0xFFFFFFFFu) return slot;  // an empty slot
+    ++occupied;
+    return 0x7FFFFFF0u;
+  });
+  snap.write(corrupt);
+  EXPECT_THROW(searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                          SnapshotVerify::kFull),
+               SnapshotError);
+
+  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                                 SnapshotVerify::kShape);
+  EXPECT_EQ(occupied, loaded.size());
+  const std::vector<std::uint32_t> first = index_row(loaded, 0);
+  EXPECT_THROW(loaded.find(first), SnapshotError);
+  const searchspace::SubSpace view(loaded);
+  EXPECT_THROW(view.find(first), SnapshotError);
+  EXPECT_THROW(searchspace::snap_to_valid(view, first), SnapshotError);
+}
+
+TEST(SnapshotErrorPaths, RowTableWithoutAnEmptySlotEndsTheProbe) {
+  TempSnapshot snap;
+  std::string corrupt = snap.bytes();
+  rewrite_row_table(snap, corrupt, [](std::uint32_t) { return 0u; });
+  snap.write(corrupt);
+  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                                 SnapshotVerify::kShape);
+  ASSERT_GT(loaded.size(), 1u);
+  // Row 0 is in every slot: its own key still hits, any other key would
+  // probe forever without the one-lap bound.
+  EXPECT_EQ(loaded.find(index_row(loaded, 0)), 0u);
+  EXPECT_THROW(loaded.find(index_row(loaded, 1)), SnapshotError);
+}
+
+TEST(SnapshotErrorPaths, OutOfRangePostingRowsAreRejectedByPushdown) {
+  TempSnapshot snap(spaces::dedispersion().spec);
+  std::string corrupt = snap.bytes();
+  rewrite_posting_rows(snap, corrupt, [](std::uint32_t) { return 0x7FFFFFF0u; });
+  snap.write(corrupt);
+  EXPECT_THROW(searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                          SnapshotVerify::kFull),
+               SnapshotError);
+
+  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                                 SnapshotVerify::kShape);
+  const auto pred = searchspace::query::eq(loaded.param_name(0), loaded.value(0, 0)) &&
+                    searchspace::query::eq(loaded.param_name(1), loaded.value(0, 1));
+  const searchspace::SubSpace view(loaded);
+  searchspace::query::QueryOptions pushdown;
+  pushdown.exec = searchspace::query::Exec::kPushdown;
+  EXPECT_THROW(view.restrict(pred, pushdown), SnapshotError);
+  // The scan reads no posting row, so it still answers.
+  searchspace::query::QueryOptions scan;
+  scan.exec = searchspace::query::Exec::kScan;
+  const auto scanned = view.restrict(pred, scan);
+  EXPECT_GT(scanned.size(), 0u);
 }
 
 // --- CSV rejection messages --------------------------------------------------

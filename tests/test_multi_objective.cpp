@@ -2,9 +2,10 @@
 // (scalarization, masking, dominance, fingerprints), the PowerModel
 // surfaces, bit-identical two-objective replays across every driver
 // (closed loop, manual ask/tell stepper, SessionManager, in-process
-// service, v2 wire), the best_at contract for scalar and vector runs, and
-// protocol version negotiation (v1 client vs v2 server, v2 client vs v1
-// server, typed rejection of unknown versions).
+// service, wire), the best_at contract for scalar and vector runs, and the
+// wire's version contract (the client stamps the current version, requests
+// without one are served, newer versions are rejected typed, hello is an
+// unknown op).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -251,7 +252,6 @@ TEST(MultiObjective, ServiceAndV2WireReplayTheClosedLoopBitForBit) {
   tuner::ServiceClientOptions client_options;
   client_options.port = server.port();
   tuner::ServiceClient client(client_options);
-  EXPECT_EQ(client.negotiated_version(), wire::kProtocolVersion);
 
   const auto opened = client.open(open);
   EXPECT_EQ(opened.info.objectives, options.objectives);
@@ -359,19 +359,25 @@ TEST(BestAt, VectorRunsReportTheScalarizedIncumbentsThroughput) {
   EXPECT_EQ(run.best_at(16.0), 90.0);
 }
 
-// --- Version negotiation ----------------------------------------------------
+// --- Wire version -------------------------------------------------------------
 
-TEST(Negotiation, HelloCodecsRoundTrip) {
-  const wire::HelloRequest request{wire::kProtocolVersion};
-  EXPECT_EQ(wire::hello_request_from_json(wire::to_json(request)), request);
-  const wire::HelloResponse response{2, wire::kProtocolVersion};
-  EXPECT_EQ(wire::hello_response_from_json(wire::to_json(response)), response);
+namespace {
+
+/// One request/response round trip over raw frames, with the body exactly as
+/// given (no version stamp).
+json::Value raw_call(tuner::net::FdStream& stream, const std::string& op,
+                     const json::Value& body) {
+  wire::write_frame(stream, wire::encode_request(op, body));
+  auto frame = wire::read_frame(stream);
+  if (!frame) throw ServiceError(ErrorCode::kIo, "server closed the connection");
+  return wire::decode_response(*frame);
 }
 
-TEST(Negotiation, ForcedV1ClientWorksAgainstAV2Server) {
-  // A pinned-v1 client emits pure v1 envelopes (scalar gflops reports, no
-  // objective fields); the v2 server must treat them as a single-objective
-  // session — the PR-7 contract.
+}  // namespace
+
+TEST(WireVersion, UnversionedScalarRequestsAreServedAsSingleObjective) {
+  // Requests without "v" and scalar gflops reports, the shape curl and
+  // scripts send: the server serves them as a single-objective session.
   const auto* kernel = tuner::find_service_kernel("gemm");
   ASSERT_NE(kernel, nullptr);
 
@@ -403,75 +409,100 @@ TEST(Negotiation, ForcedV1ClientWorksAgainstAV2Server) {
   server_options.port = 0;
   tuner::ServiceServer server(service, server_options);
   server.start();
-  tuner::ServiceClientOptions client_options;
-  client_options.port = server.port();
-  client_options.force_version = 1;
-  tuner::ServiceClient client(client_options);
-  EXPECT_EQ(client.negotiated_version(), 1);
+  const int fd = tuner::net::connect_tcp("127.0.0.1", server.port(), 10.0);
+  tuner::net::FdStream stream(fd);
 
-  const auto opened = client.open(open);
+  const json::Value open_body = wire::to_json(open);
+  ASSERT_EQ(open_body.find("v"), nullptr);
+  const auto opened =
+      wire::open_session_response_from_json(raw_call(stream, "open", open_body));
   EXPECT_TRUE(opened.info.objectives.is_single());
+  json::Value session = json::Value::object();
+  session.set("session_id", opened.session_id);
   while (true) {
-    const auto ask = client.suggest(opened.session_id);
+    const auto ask =
+        wire::suggest_response_from_json(raw_call(stream, "suggest", session));
     if (ask.finished) break;
     csp::Config config;
     for (const auto& entry : ask.config) config.push_back(entry.value);
-    client.report({opened.session_id,
-                   kernel->model->gflops(opened.info.param_names, config),
-                   -1.0});
+    json::Value report = json::Value::object();
+    report.set("session_id", opened.session_id);
+    report.set("gflops", kernel->model->gflops(opened.info.param_names, config));
+    raw_call(stream, "report", report);
   }
-  const auto over_wire = client.close_session(opened.session_id).run;
+  const auto over_wire =
+      wire::close_session_response_from_json(raw_call(stream, "close", session)).run;
+  tuner::net::close_fd(fd);
   server.stop();
   EXPECT_EQ(over_wire, reference);
   EXPECT_TRUE(over_wire.objectives.is_single());
 }
 
-TEST(Negotiation, VersionsAboveTheServersAreRejectedTyped) {
+TEST(WireVersion, VersionsAboveTheServersAreRejectedTyped) {
   tuner::TuningService service;
   tuner::ServiceServerOptions server_options;
   server_options.port = 0;
   tuner::ServiceServer server(service, server_options);
   server.start();
-
-  tuner::ServiceClientOptions client_options;
-  client_options.port = server.port();
-  client_options.force_version = wire::kProtocolVersion + 1;
-  tuner::ServiceClient client(client_options);
+  const int fd = tuner::net::connect_tcp("127.0.0.1", server.port(), 10.0);
+  tuner::net::FdStream stream(fd);
 
   tuner::OpenSessionRequest open;
   open.kernel = "gemm";
-  EXPECT_EQ(code_of([&] { client.open(open); }),
+  json::Value body = wire::to_json(open);
+  body.set("v", static_cast<std::int64_t>(wire::kProtocolVersion + 1));
+  EXPECT_EQ(code_of([&] { raw_call(stream, "open", body); }),
             ErrorCode::kUnsupportedVersion);
-  // The connection survives the rejection: repinning to a spoken version
-  // works.
-  client_options.force_version = wire::kProtocolVersion;
-  client.connect(client_options);
-  EXPECT_TRUE(client.ping());
+  EXPECT_EQ(service.stats().total_opened, 0u);
+  // The connection survives the rejection, and the current version is served.
+  json::Value ping = json::Value::object();
+  ping.set("v", static_cast<std::int64_t>(wire::kProtocolVersion));
+  EXPECT_TRUE(raw_call(stream, "ping", ping).at("pong").as_bool());
+  tuner::net::close_fd(fd);
   server.stop();
 }
 
-TEST(Negotiation, ClientFallsBackToV1WhenTheServerLacksHello) {
-  // A scripted "v1 server": answers hello with kProtocol (unknown op), then
-  // serves a ping.  The client must degrade to version 1 and its envelopes
-  // must be byte-for-byte v1 — in particular, no "v" stamp.
+TEST(WireVersion, HelloIsAnUnknownOp) {
+  // The version handshake is gone: a client that still opens with hello gets
+  // the ordinary unknown-op error, and its connection stays usable.
+  tuner::TuningService service;
+  tuner::ServiceServerOptions server_options;
+  server_options.port = 0;
+  tuner::ServiceServer server(service, server_options);
+  server.start();
+  const int fd = tuner::net::connect_tcp("127.0.0.1", server.port(), 10.0);
+  tuner::net::FdStream stream(fd);
+
+  json::Value hello = json::Value::object();
+  hello.set("max_version", static_cast<std::int64_t>(wire::kProtocolVersion));
+  try {
+    raw_call(stream, "hello", hello);
+    FAIL() << "hello must be rejected";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocol);
+    EXPECT_NE(std::string(e.what()).find("unknown op 'hello'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(raw_call(stream, "ping", json::Value::object()).at("pong").as_bool());
+  tuner::net::close_fd(fd);
+  server.stop();
+}
+
+TEST(WireVersion, ClientStampsTheCurrentVersionOnEveryRequest) {
+  // A scripted server records what the client sends: no handshake precedes
+  // the first request, and each request carries "v": kProtocolVersion.
   const int listen_fd = tuner::net::listen_tcp("127.0.0.1", 0);
   const std::uint16_t port = tuner::net::local_port(listen_fd);
-  std::string hello_op;
-  std::string ping_payload;
-  std::thread v1_server([&] {
+  std::vector<std::pair<std::string, json::Value>> received;
+  std::thread scripted_server([&] {
     const int fd = tuner::net::accept_timeout(listen_fd, 10000);
     if (fd < 0) return;
     tuner::net::FdStream stream(fd);
-    if (auto frame = wire::read_frame(stream)) {
-      hello_op = wire::decode_request(*frame).first;
-      wire::write_frame(
-          stream, wire::encode_error(ErrorCode::kProtocol, "unknown op"));
-    }
-    if (auto frame = wire::read_frame(stream)) {
-      ping_payload = *frame;
-      json::Value body = json::Value::object();
-      body.set("pong", true);
-      wire::write_frame(stream, wire::encode_ok(body));
+    while (auto frame = wire::read_frame(stream)) {
+      received.push_back(wire::decode_request(*frame));
+      json::Value reply = json::Value::object();
+      reply.set("pong", true);
+      wire::write_frame(stream, wire::encode_ok(reply));
     }
     tuner::net::close_fd(fd);
   });
@@ -479,14 +510,15 @@ TEST(Negotiation, ClientFallsBackToV1WhenTheServerLacksHello) {
   tuner::ServiceClientOptions options;
   options.port = port;
   tuner::ServiceClient client(options);
-  EXPECT_EQ(client.negotiated_version(), 1);
+  EXPECT_TRUE(client.ping());
   EXPECT_TRUE(client.ping());
   client.disconnect();
-  v1_server.join();
+  scripted_server.join();
   tuner::net::close_fd(listen_fd);
 
-  EXPECT_EQ(hello_op, "hello");
-  EXPECT_NE(ping_payload, "");
-  EXPECT_EQ(ping_payload.find("\"v\""), std::string::npos)
-      << "v1 envelopes must not carry a version stamp: " << ping_payload;
+  ASSERT_EQ(received.size(), 2u);
+  for (const auto& [op, document] : received) {
+    EXPECT_EQ(op, "ping");
+    EXPECT_EQ(document.at("v").as_int(), wire::kProtocolVersion);
+  }
 }

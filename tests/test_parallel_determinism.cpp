@@ -7,6 +7,7 @@
 // work is done.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
 
 #include "tunespace/csp/builtin_constraints.hpp"
@@ -73,23 +74,27 @@ TEST_P(ParallelEquivalence, BacktrackingIdenticalOrderAndEffort) {
 }
 
 TEST_P(ParallelEquivalence, SplitDepthDoesNotChangeResults) {
+  // The split depth grows with the worker count (~8 tasks per worker), so
+  // varying the threads varies the split.
   const std::uint64_t seed = GetParam();
   auto build = [&] { return synthetic_problem(4, 40000, 2, seed); };
 
   csp::Problem p_seq = build();
   const auto sequential = OptimizedBacktracking{}.solve(p_seq);
 
-  for (std::size_t split_depth : {0u, 1u, 2u, 3u, 100u}) {  // 100 -> clamped
+  std::set<std::uint64_t> task_counts;
+  for (std::size_t threads : {1u, 2u, 4u, 8u, 16u}) {
     SolverOptions options;
-    options.threads = 4;
-    options.split_depth = split_depth;
+    options.threads = threads;
     csp::Problem p_par = build();
     const auto parallel = ParallelBacktracking(options).solve(p_par);
-    const std::string what = "seed " + std::to_string(seed) + " depth " +
-                             std::to_string(split_depth);
+    const std::string what = "seed " + std::to_string(seed) + " threads " +
+                             std::to_string(threads);
     expect_identical(parallel.solutions, sequential.solutions, what);
     expect_same_effort(parallel.stats, sequential.stats, what);
+    task_counts.insert(parallel.stats.parallel_tasks);
   }
+  EXPECT_GE(task_counts.size(), 2u) << "the split never moved";
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomizedProblems, ParallelEquivalence,

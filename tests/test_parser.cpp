@@ -1,9 +1,13 @@
 // Unit tests for the expression parser: precedence, chaining, round-trips.
 #include <gtest/gtest.h>
 
+#include "support/spec_gen.hpp"
 #include "tunespace/expr/parser.hpp"
+#include "tunespace/searchspace/searchspace.hpp"
+#include "tunespace/spaces/realworld.hpp"
 
 using namespace tunespace::expr;
+namespace ts = tunespace;
 
 namespace {
 // Round-trip helper: parse(to_string(parse(src))) must be structurally equal.
@@ -20,6 +24,15 @@ std::string nested(const std::string& open, std::size_t n, const std::string& cl
   out += "x";
   for (std::size_t i = 0; i < n; ++i) out += close;
   return out;
+}
+
+/// "a + a + ... + a > 0" with `terms` terms: the chain nests its left operand
+/// one node deeper per operator, so the tree is as deep as the chain is long
+/// (plus one for the comparison).
+std::string flat_chain(std::size_t terms, const std::string& op = " + ") {
+  std::string out = "a";
+  for (std::size_t i = 1; i < terms; ++i) out += op + "a";
+  return out + " > 0";
 }
 }  // namespace
 
@@ -128,6 +141,43 @@ TEST(Parser, NestingIsCappedWithASyntaxError) {
   // (unclosed, so a missing cap would also recurse all the way down).
   for (const char* open : {"(", "[", "f(", "not ", "-", "+", "2 ** ", "1 if 1 else "}) {
     EXPECT_THROW(parse(nested(open, 100000, "")), SyntaxError) << open;
+  }
+}
+
+TEST(Parser, FlatOperatorChainsAreCappedWithASyntaxError) {
+  EXPECT_NO_THROW(parse(flat_chain(kMaxTreeDepth - 1)));
+  EXPECT_THROW(parse(flat_chain(kMaxTreeDepth)), SyntaxError);
+  EXPECT_THROW(parse(flat_chain(kMaxTreeDepth, " * ")), SyntaxError);
+  // The same cap holds when the depth comes from nesting and chains together.
+  EXPECT_THROW(parse(nested("f(", 200, ")") + " + " + flat_chain(kMaxTreeDepth - 100)),
+               SyntaxError);
+}
+
+TEST(Parser, A40000TermChainIsRejectedBeforeASpaceIsBuilt) {
+  // With an 8 MiB stack, building a space from this spec used to overflow it.
+  EXPECT_THROW(parse(flat_chain(40000)), SyntaxError);
+  ts::tuner::TuningProblem spec("chain");
+  spec.add_param("a", {1, 2});
+  spec.add_constraint(flat_chain(40000));
+  EXPECT_THROW(ts::searchspace::SearchSpace{spec}, SyntaxError);
+}
+
+TEST(Parser, A1000000TermChainIsRejected) {
+  // parse() used to return this tree, and destroying it overflowed the stack.
+  EXPECT_THROW(parse(flat_chain(1000000)), SyntaxError);
+}
+
+TEST(Parser, EveryTable2AndGeneratedConstraintParses) {
+  for (const auto& space : ts::spaces::all_realworld()) {
+    for (const auto& constraint : space.spec.constraints()) {
+      EXPECT_NO_THROW(parse(constraint)) << space.name << ": " << constraint;
+    }
+  }
+  for (std::uint64_t seed = 0; seed < 500; ++seed) {
+    const ts::tuner::TuningProblem spec = ts::testsupport::random_spec(seed);
+    for (const auto& constraint : spec.constraints()) {
+      EXPECT_NO_THROW(parse(constraint)) << "seed " << seed << ": " << constraint;
+    }
   }
 }
 

@@ -1,10 +1,17 @@
-// Tests for uniform and Latin Hypercube sampling over resolved spaces.
+// Tests for uniform and Latin Hypercube sampling over resolved spaces, and
+// for the row snap_to_valid picks on a miss.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <unordered_map>
 
+#include "support/spec_gen.hpp"
 #include "tunespace/searchspace/sampling.hpp"
+#include "tunespace/searchspace/view.hpp"
+#include "tunespace/spaces/realworld.hpp"
 
 using namespace tunespace;
 using namespace tunespace::searchspace;
@@ -18,6 +25,122 @@ tuner::TuningProblem sample_spec() {
       .add_param("z", {1, 2, 3, 4});
   spec.add_constraint("x + y <= 12");
   return spec;
+}
+
+/// snap_to_valid's rule, restated over the decoded columns (no posting
+/// lists, no row table):
+///   1. an exact hit returns its own row;
+///   2. each parameter takes the target value, or its nearest value present
+///      in the view (ties go to the smaller value);
+///   3. the first parameter whose value has the fewest rows in the parent
+///      space picks the candidates;
+///   4. among the view's rows with that value, in ascending order, the first
+///      with the smallest normalized-L1 sum (summed in parameter order) wins.
+class SnapOracle {
+ public:
+  explicit SnapOracle(const SubSpace& view) : view_(view) {
+    const SearchSpace& parent = view.parent();
+    const std::size_t d = view.num_params();
+    codes_.assign(d, std::vector<std::uint32_t>(parent.size()));
+    counts_.resize(d);
+    present_.resize(d);
+    for (std::size_t p = 0; p < d; ++p) {
+      counts_[p].assign(view.problem().domain(p).size(), 0);
+      for (std::size_t r = 0; r < parent.size(); ++r) {
+        codes_[p][r] = parent.value_index(r, p);
+        counts_[p][codes_[p][r]]++;
+      }
+    }
+    for (std::size_t local = 0; local < view.size(); ++local) {
+      const std::size_t r = view.parent_row(local);
+      std::uint64_t key = 0;
+      for (std::size_t p = 0; p < d; ++p) {
+        present_[p].insert(codes_[p][r]);
+        key = key * view.problem().domain(p).size() + codes_[p][r];
+      }
+      local_of_key_.emplace(key, local);
+    }
+  }
+
+  std::size_t snap(const std::vector<std::uint32_t>& target) const {
+    const std::size_t d = view_.num_params();
+    std::uint64_t key = 0;
+    for (std::size_t p = 0; p < d; ++p) {
+      key = key * view_.problem().domain(p).size() + target[p];
+    }
+    if (const auto hit = local_of_key_.find(key); hit != local_of_key_.end()) {
+      return hit->second;
+    }
+    std::size_t best_param = 0;
+    std::uint32_t best_value = 0;
+    for (std::size_t p = 0; p < d; ++p) {
+      std::uint32_t value = *present_[p].begin();
+      for (std::uint32_t candidate : present_[p]) {  // ascending
+        if (std::llabs(static_cast<long long>(candidate) - target[p]) <
+            std::llabs(static_cast<long long>(value) - target[p])) {
+          value = candidate;
+        }
+      }
+      if (p == 0 || counts_[p][value] < counts_[best_param][best_value]) {
+        best_param = p;
+        best_value = value;
+      }
+    }
+    double best_sum = std::numeric_limits<double>::infinity();
+    std::size_t best_local = 0;
+    for (std::size_t local = 0; local < view_.size(); ++local) {
+      const std::size_t r = view_.parent_row(local);
+      if (codes_[best_param][r] != best_value) continue;
+      double sum = 0;
+      for (std::size_t p = 0; p < d; ++p) {
+        const double span = static_cast<double>(
+            std::max<std::size_t>(1, view_.problem().domain(p).size() - 1));
+        sum += std::fabs(static_cast<double>(codes_[p][r]) -
+                         static_cast<double>(target[p])) /
+               span;
+      }
+      if (sum < best_sum) {
+        best_sum = sum;
+        best_local = local;
+      }
+    }
+    return best_local;
+  }
+
+ private:
+  const SubSpace& view_;
+  std::vector<std::vector<std::uint32_t>> codes_;   ///< [param][parent row]
+  std::vector<std::vector<std::size_t>> counts_;    ///< parent rows per value
+  std::vector<std::set<std::uint32_t>> present_;    ///< values in the view
+  std::unordered_map<std::uint64_t, std::size_t> local_of_key_;
+};
+
+/// Compare snap_to_valid with the oracle on random targets of three kinds:
+/// uniform over the domains (mostly misses), view rows (hits) and uniform
+/// crossovers of two view rows (what GA and DE children look like).
+void expect_snaps_match_the_rule(const SubSpace& view, std::uint64_t seed,
+                                 const std::string& what) {
+  if (view.empty()) return;
+  const SnapOracle oracle(view);
+  util::Rng rng(seed);
+  const std::size_t d = view.num_params();
+  std::vector<std::uint32_t> target(d);
+  for (int i = 0; i < 60; ++i) {
+    const std::vector<std::uint32_t> a = view.indices(rng.index(view.size()));
+    const std::vector<std::uint32_t> b = view.indices(rng.index(view.size()));
+    for (std::size_t p = 0; p < d; ++p) {
+      switch (i % 3) {
+        case 0:
+          target[p] = static_cast<std::uint32_t>(
+              rng.index(view.problem().domain(p).size()));
+          break;
+        case 1: target[p] = a[p]; break;
+        default: target[p] = rng.uniform() < 0.5 ? a[p] : b[p];
+      }
+    }
+    ASSERT_EQ(snap_to_valid(view, target), oracle.snap(target))
+        << what << ", target " << i;
+  }
 }
 
 }  // namespace
@@ -62,6 +185,39 @@ TEST(Sampling, SnapToValidFindsNearbyConfig) {
   EXPECT_LE(config[0].as_int() + config[1].as_int(), 12);
   // And it should stay reasonably close to the corner.
   EXPECT_GE(config[0].as_int() + config[1].as_int(), 10);
+}
+
+TEST(Sampling, SnapToValidFollowsItsRuleOnTable2SpecsAndGeneratedSpecs) {
+  std::uint64_t seed = 1;
+  for (const auto& rw : spaces::all_realworld()) {
+    const auto space = std::make_shared<const SearchSpace>(rw.spec);
+    const SubSpace whole(space);
+    expect_snaps_match_the_rule(whole, seed++, rw.name);
+    // A restricted view: every other present value of the parameter with
+    // the most of them, so the view's present values differ from the
+    // parent's and its rows are a strict subset.
+    std::size_t widest = 0;
+    for (std::size_t p = 1; p < space->num_params(); ++p) {
+      if (space->present_values(p).size() > space->present_values(widest).size()) {
+        widest = p;
+      }
+    }
+    std::vector<csp::Value> kept;
+    const auto& present = space->present_values(widest);
+    for (std::size_t i = 0; i < present.size(); i += 2) {
+      kept.push_back(space->problem().domain(widest)[present[i]]);
+    }
+    const SubSpace restricted =
+        whole.restrict(query::in_set(space->param_name(widest), kept));
+    ASSERT_LT(restricted.size(), whole.size()) << rw.name;
+    expect_snaps_match_the_rule(restricted, seed++, rw.name + " restricted");
+  }
+  for (std::uint64_t spec_seed = 0; spec_seed < 40; ++spec_seed) {
+    const auto space =
+        std::make_shared<const SearchSpace>(testsupport::random_spec(spec_seed));
+    expect_snaps_match_the_rule(SubSpace(space), seed++,
+                                "spec_gen seed " + std::to_string(spec_seed));
+  }
 }
 
 TEST(Sampling, LatinHypercubeCoverageAndValidity) {

@@ -600,6 +600,47 @@ TEST(HttpGateway, ErrorsCarryWireCodesAndHttpStatuses) {
   net::close_fd(fd);
 }
 
+TEST(HttpGateway, VersionContractHoldsForBodiesFromOutsideTheLibrary) {
+  tuner::ServiceServerOptions options;
+  options.enable_http = true;
+  LiveServer live(options);
+
+  const int fd = raw_connect(live.server.http_port());
+  int status = 0;
+  json::Value reply;
+
+  // A version above the server's: typed error, 400.
+  const std::string newer =
+      "{\"v\":" + std::to_string(wire::kProtocolVersion + 1) + "}";
+  ASSERT_TRUE(http_post(fd, "ping", newer, status, reply));
+  EXPECT_EQ(status, 400);
+  EXPECT_EQ(reply.at("error").at("code").as_string(), "unsupported_version");
+
+  // No version at all is served.
+  ASSERT_TRUE(http_post(fd, "ping", "{}", status, reply));
+  EXPECT_EQ(status, 200);
+  EXPECT_TRUE(reply.at("pong").as_bool());
+
+  // hello is an unknown op like any other.
+  ASSERT_TRUE(http_post(fd, "hello", "{\"max_version\":2}", status, reply));
+  EXPECT_EQ(status, 400);
+  EXPECT_EQ(reply.at("error").at("code").as_string(), "protocol");
+
+  // "surrogate": true in an open body selects the surrogate optimizer.
+  ASSERT_TRUE(http_post(fd, "open",
+                        "{\"kernel\":\"hotspot\",\"budget_seconds\":1,"
+                        "\"surrogate\":true}",
+                        status, reply));
+  ASSERT_EQ(status, 200);
+  const auto opened = wire::open_session_response_from_json(reply);
+  EXPECT_EQ(opened.info.optimizer, "surrogate");
+  json::Value session = json::Value::object();
+  session.set("session_id", opened.session_id);
+  ASSERT_TRUE(http_post(fd, "close", session.dump(), status, reply));
+  EXPECT_EQ(status, 200);
+  net::close_fd(fd);
+}
+
 TEST(HttpGateway, ExpectContinueGetsTheInterimResponse) {
   tuner::ServiceServerOptions options;
   options.enable_http = true;

@@ -270,7 +270,7 @@ TEST(Service, WarmRestartReplaysFromThePersistedEvalCache) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Service, EvalCacheSavesAsTsec2AndLoadsLegacyTsec1) {
+TEST(Service, EvalCacheSavesAsTsec2AndStartsColdOnOtherVersions) {
   const auto dir = scratch_dir();
   const auto& kernel = *tuner::find_service_kernel("hotspot");
 
@@ -305,28 +305,27 @@ TEST(Service, EvalCacheSavesAsTsec2AndLoadsLegacyTsec1) {
   in.close();
   ASSERT_FALSE(rows.empty());
 
-  // Rewrite the file as its TSEC 1 ancestor (three columns, scalar gflops;
-  // the scalar session's watts column is all zeros, so this is lossless).
+  // Rewrite the file as a TSEC 1 file (three columns, scalar gflops).  Only
+  // TSEC 2 is read: a restarted service starts cold, and the session runs
+  // again from scratch, bit-identically.
   {
     std::ofstream out(path, std::ios::trunc);
     out << "TSEC 1\n";
     for (const auto& row : rows) {
-      EXPECT_EQ(row[3], "0000000000000000");  // scalar sessions mask watts
       out << row[0] << ' ' << row[1] << ' ' << row[2] << '\n';
     }
   }
-
-  // A restarted service loads the legacy file (widening each row to a
-  // gflops-only vector) and replays the session bit-identically from it.
+  tuner::SharedEvalCache cache;
+  EXPECT_EQ(tuner::load_shared_eval_cache(cache, path.string()), 0u);
   {
     tuner::TuningServiceOptions options;
     options.state_dir = dir.string();
     TuningService service(options);
-    EXPECT_EQ(service.stats().cache_entries, rows.size());
+    EXPECT_EQ(service.stats().cache_entries, 0u);
     const auto opened = service.open(quick_request("hotspot", 9, 2.0));
-    EXPECT_TRUE(service.suggest({opened.session_id}).finished);
-    const auto warm_run = service.close({opened.session_id}).run;
-    EXPECT_EQ(warm_run, cold_run);
+    EXPECT_EQ(drive(service, opened.session_id, kernel, opened.info.param_names),
+              cold_run);
+    EXPECT_EQ(service.stats().cache_hits, 0u);
   }
   std::filesystem::remove_all(dir);
 }

@@ -47,7 +47,7 @@ tuner::SessionStepper::CostFn cost_of(const tuner::PerformanceModel& model) {
 tuner::TuningRun drive(tuner::SessionStepper& stepper,
                        const tuner::PerformanceModel& model) {
   while (auto ask = stepper.suggest()) {
-    stepper.report(model.gflops(stepper.param_names(), ask->config));
+    stepper.report({model.gflops(stepper.param_names(), ask->config), 0.0});
   }
   EXPECT_TRUE(stepper.finished());
   return stepper.take_run();
@@ -126,7 +126,7 @@ TEST(Stepper, ReportWithoutSuggestionThrowsWrongState) {
   tuner::SessionStepper stepper(space, "optimized", 0.0, rs, fixed_options(1),
                                 cost_of(model));
   try {
-    stepper.report(1.0);
+    stepper.report({1.0, 0.0});
     FAIL() << "report before suggest must throw";
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kWrongState);
@@ -160,7 +160,7 @@ TEST(Stepper, FinishedSessionIsIdempotentOnSuggestAndRejectsReport) {
   EXPECT_FALSE(stepper.suggest().has_value());
   EXPECT_FALSE(stepper.suggest().has_value());  // idempotent
   try {
-    stepper.report(1.0);
+    stepper.report({1.0, 0.0});
     FAIL() << "report after completion must throw";
   } catch (const ServiceError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kSessionFinished);
@@ -194,7 +194,7 @@ TEST(Stepper, CancelMidSessionYieldsPartialRun) {
   for (int i = 0; i < 3; ++i) {
     auto ask = stepper.suggest();
     ASSERT_TRUE(ask.has_value());
-    stepper.report(model.gflops(stepper.param_names(), ask->config));
+    stepper.report({model.gflops(stepper.param_names(), ask->config), 0.0});
   }
   stepper.cancel();
   EXPECT_TRUE(stepper.finished());
@@ -265,7 +265,7 @@ TEST(Stepper, ReportedMeasureSecondsChargeTheClock) {
                                 cost_of(model));
   auto ask = stepper.suggest();
   ASSERT_TRUE(ask.has_value());
-  stepper.report(10.0, 2.5);  // explicit wall charge instead of cost(gflops)
+  stepper.report({10.0, 0.0}, 2.5);  // explicit wall charge instead of cost(gflops)
   EXPECT_DOUBLE_EQ(stepper.now(), 2.5);
   stepper.cancel();
 }
@@ -280,7 +280,7 @@ TEST(Stepper, BestTracksTheImprovingSuggestion) {
   auto ask = stepper.suggest();
   ASSERT_TRUE(ask.has_value());
   const std::size_t first_row = ask->row;
-  stepper.report(model.gflops(stepper.param_names(), ask->config));
+  stepper.report({model.gflops(stepper.param_names(), ask->config), 0.0});
   ASSERT_TRUE(stepper.best().has_value());
   EXPECT_EQ(stepper.best()->row, first_row);
   stepper.cancel();

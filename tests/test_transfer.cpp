@@ -4,7 +4,7 @@
 // sessions, top-k seeding order, stats accounting), the SurrogateGuided
 // model-based optimizer (repeat-run identity, refit counters), TSEC
 // merge semantics (first-insert-wins, order-independent for identical
-// values, concurrent saves of one path), the v2 wire fields, and the
+// values, concurrent saves of one path), the transfer wire fields, and the
 // TuningService warm-restart path.
 #include <gtest/gtest.h>
 
@@ -223,14 +223,13 @@ TEST(WarmStart, SeedsTopKByScoreAndCountsStats) {
   EXPECT_GE(stepper.run().best_gflops, 20.0);
 
   while (auto suggestion = stepper.suggest()) {
-    stepper.report(
-        model.gflops(stepper.param_names(), suggestion->config));
+    stepper.report({model.gflops(stepper.param_names(), suggestion->config), 0.0});
   }
   EXPECT_TRUE(stepper.finished());
   EXPECT_GE(stepper.run().best_gflops, 20.0);
 }
 
-TEST(WarmStart, TopKIsConfigurableAndBoundedByCacheSize) {
+TEST(WarmStart, TopKIsEightAndBoundedByCacheSize) {
   const searchspace::SearchSpace space(transfer_spec());
   const searchspace::SubSpace view(space);
   tuner::HotspotModel model;
@@ -241,17 +240,21 @@ TEST(WarmStart, TopKIsConfigurableAndBoundedByCacheSize) {
 
   tuner::TuningOptions options = fixed_options(5);
   options.warm_start = true;
-  options.warm_start_top_k = 16;  // more than the cache holds
+  // Fewer cached rows than the top-k: every one of them seeds.
   tuner::SessionStats stats;
   const auto run = run_with(view, model, "random-sampling", options, &cache,
                             fp, &stats);
   EXPECT_EQ(stats.seeded_rows, 2u);
   EXPECT_GE(run.best_gflops, 9.0);
 
-  tuner::SessionStats one_stats;
-  options.warm_start_top_k = 1;
-  run_with(view, model, "random-sampling", options, &cache, fp, &one_stats);
-  EXPECT_EQ(one_stats.seeded_rows, 1u);
+  // More cached rows than the top-k: only the best 8 seed.
+  tuner::SharedEvalCache larger;
+  for (std::uint64_t row = 0; row < 12; ++row) {
+    larger.insert(fp, row, {1.0 + static_cast<double>(row), 0.0});
+  }
+  tuner::SessionStats capped_stats;
+  run_with(view, model, "random-sampling", options, &larger, fp, &capped_stats);
+  EXPECT_EQ(capped_stats.seeded_rows, 8u);
 }
 
 TEST(WarmStart, TransferChangesTheTrajectoryOnceTheCacheHasRows) {
@@ -426,18 +429,18 @@ TEST(EvalCachePersistence, ConcurrentSavesOfOnePathAllSucceed) {
   std::filesystem::remove_all(dir);
 }
 
-// --- v2 wire fields ---------------------------------------------------------
+// --- Transfer wire fields ---------------------------------------------------
 
 TEST(TransferWire, OpenSessionRequestCarriesTransferFlags) {
   tuner::OpenSessionRequest request;
   request.kernel = "gemm";
+  request.optimizer = "surrogate";
   request.warm_start = true;
-  request.surrogate = true;
   EXPECT_EQ(wire::open_session_request_from_json(wire::to_json(request)),
             request);
 
-  // Absent means off: a cold envelope is byte-identical to the
-  // pre-transfer wire, and decodes back to the defaults.
+  // Absent means off: a cold envelope carries no transfer field and
+  // decodes back to the defaults.
   tuner::OpenSessionRequest cold;
   cold.kernel = "gemm";
   const auto encoded = wire::to_json(cold);
@@ -445,7 +448,16 @@ TEST(TransferWire, OpenSessionRequestCarriesTransferFlags) {
   EXPECT_EQ(encoded.find("surrogate"), nullptr);
   const auto decoded = wire::open_session_request_from_json(encoded);
   EXPECT_FALSE(decoded.warm_start);
-  EXPECT_FALSE(decoded.surrogate);
+  EXPECT_EQ(decoded.optimizer, "random-sampling");
+
+  // A "surrogate": true flag names the surrogate optimizer, whatever the
+  // optimizer field says; false leaves the field alone.
+  auto flagged = wire::to_json(cold);
+  flagged.set("surrogate", true);
+  EXPECT_EQ(wire::open_session_request_from_json(flagged).optimizer, "surrogate");
+  flagged.set("surrogate", false);
+  EXPECT_EQ(wire::open_session_request_from_json(flagged).optimizer,
+            "random-sampling");
 }
 
 TEST(TransferWire, SessionInfoAndServiceStatsCarryTransferCounters) {
@@ -512,9 +524,18 @@ TEST(ServiceTransfer, SurrogateFlagSelectsTheModelBasedOptimizer) {
   request.seed = 2;
   request.budget_seconds = 1.0;
   request.fixed_construction_seconds = 0.25;
-  request.surrogate = true;
+  request.optimizer = "surrogate";
   const auto opened = service.open(request);
   EXPECT_EQ(opened.info.optimizer, "surrogate");
   const auto closed = service.close({opened.session_id});
   EXPECT_EQ(closed.run.method_name, "optimized");
+
+  // An open body that sets the "surrogate" flag instead of naming the
+  // optimizer reaches the same optimizer.
+  auto body = wire::to_json(request);
+  body.set("optimizer", "random-sampling");
+  body.set("surrogate", true);
+  const auto flagged = service.open(wire::open_session_request_from_json(body));
+  EXPECT_EQ(flagged.info.optimizer, "surrogate");
+  service.close({flagged.session_id});
 }

@@ -12,7 +12,7 @@
 // printing the run summary.  --objectives takes a comma-separated list of
 // name:direction:weight triples (direction/weight optional), e.g.
 // "gflops:maximize:1,watts:minimize:0.01"; the session then tunes the full
-// objective vector over the v2 wire and the client reports complete
+// objective vector and the client reports complete
 // measurements and prints the Pareto front size plus perf-per-watt of the
 // incumbent.  --drain then asks the server to drain and waits until it
 // quiesces — the graceful-shutdown path the CI smoke job exercises.
@@ -21,7 +21,7 @@
 // actually reused the persisted eval cache.  --warm-start opens the session
 // with cache-seeded transfer (OpenSessionRequest::warm_start) and
 // --min-seeded-rows fails unless the session was seeded with at least that
-// many cached rows; --surrogate forces the model-based optimizer.  Every run
+// many cached rows; --surrogate is short for --optimizer surrogate.  Every run
 // prints a greppable "model_evaluations=N seeded_rows=N" line so a smoke
 // script can assert that a warm session re-measured fewer configurations
 // than a cold one.
@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "tunespace/tuner/protocol.hpp"
 #include "tunespace/tuner/service.hpp"
 #include "tunespace/tuner/service_client.hpp"
 
@@ -131,7 +132,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--warm-start") {
       open_request.warm_start = true;
     } else if (arg == "--surrogate") {
-      open_request.surrogate = true;
+      open_request.optimizer = "surrogate";
     } else if (arg == "--min-cache-hits") {
       min_cache_hits = std::atoll(next());
     } else if (arg == "--min-seeded-rows") {
@@ -156,7 +157,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "tunespace_client: server did not answer ping\n");
       return 1;
     }
-    std::printf("connected (protocol v%d)\n", client.negotiated_version());
+    std::printf("connected (protocol v%d)\n", wire::kProtocolVersion);
 
     const bool multi_objective = !open_request.objectives.is_single();
     const auto opened = client.open(open_request);
