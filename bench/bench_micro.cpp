@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): the per-evaluation costs that drive
 // the macro results — compiled vs interpreted constraint evaluation, the
 // boxed vs int64 evaluator tiers, specific vs generic constraints, and
-// SearchSpace lookup/neighbour operations.
+// SearchSpace lookup, neighbour, snap and sampling operations.
 //
 // The custom main() additionally runs a self-timed boxed-vs-int64 comparison
 // over an integer-only expression mix and writes machine-readable results to
@@ -180,6 +180,44 @@ static void BM_LatinHypercube64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LatinHypercube64)->Unit(benchmark::kMicrosecond);
+
+// A snap miss on the two largest tuning spaces (arg 0: Hotspot, 1: GEMM),
+// whose posting lists run to ~13k rows per value.  Targets are uniform
+// crossovers of two random rows, as GA and NSGA-II children are, drawn
+// before the timed loop; only the misses among them are kept.
+static void BM_SnapToValidMiss(benchmark::State& state) {
+  const auto rw = state.range(0) == 0 ? spaces::hotspot() : spaces::gemm();
+  searchspace::SearchSpace space(rw.spec);
+  util::Rng rng(7);
+  std::vector<std::vector<std::uint32_t>> targets;
+  while (targets.size() < 256) {
+    const auto a = space.indices(rng.index(space.size()));
+    const auto b = space.indices(rng.index(space.size()));
+    std::vector<std::uint32_t> child(space.num_params());
+    for (std::size_t p = 0; p < child.size(); ++p) {
+      child[p] = rng.chance(0.5) ? a[p] : b[p];
+    }
+    if (!space.find(child)) targets.push_back(std::move(child));
+  }
+  benchmark::DoNotOptimize(searchspace::snap_to_valid(space, targets[0]));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(searchspace::snap_to_valid(space, targets[i]));
+    i = (i + 1) % targets.size();
+  }
+  state.SetLabel(rw.name);
+}
+BENCHMARK(BM_SnapToValidMiss)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// A GA/NSGA-II initial population draw on Hotspot: 20 of 389,208 rows.
+static void BM_SampleIndices(benchmark::State& state) {
+  util::Rng rng(5);
+  for (auto _ : state) {
+    auto picked = rng.sample_indices(389208, 20);
+    benchmark::DoNotOptimize(picked);
+  }
+}
+BENCHMARK(BM_SampleIndices);
 
 // ---------------------------------------------------------------------------
 // Boxed vs int64 evaluator comparison, emitted as BENCH_eval.json

@@ -15,9 +15,18 @@
 // loaded buffer kept alive by `snapshot_buffer_` (zero-copy reload).
 //
 // Configurations are addressed by a dense row id in [0, size()).
+//
+// Nearest-valid snapping (sampling.hpp) also reads per-block value ranges:
+// for every 64 consecutive rows and every parameter, the smallest and
+// largest value index.  They are derived data: built from the packed
+// columns on first use, never persisted (a snapshot and its load stay as
+// they are), and their derivation range-checks every code against its
+// domain, so a corrupt column loaded at SnapshotVerify::kShape throws
+// SnapshotError there instead of indexing past a per-value table.
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -31,6 +40,7 @@
 namespace tunespace::searchspace {
 
 enum class SnapshotVerify;  // defined in searchspace/io.hpp
+class SubSpace;             // defined in searchspace/view.hpp
 
 /// Fully-resolved, indexed search space.
 class SearchSpace {
@@ -123,12 +133,25 @@ class SearchSpace {
   SearchSpace() = default;  // the snapshot loader fills the members directly
 
   friend void save_snapshot(const SearchSpace& space, const std::string& path);
+  friend std::size_t snap_to_valid(const SubSpace& view,
+                                   const std::vector<std::uint32_t>& target);
   friend SearchSpace load_snapshot(const tuner::TuningProblem& spec,
                                    const tuner::Method& method,
                                    const std::string& path,
                                    SnapshotVerify verify);
 
   static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+  /// Rows per block of the snap ranges.
+  static constexpr std::size_t kBlockRows = 64;
+
+  /// Smallest and largest value index of one parameter within one block.
+  struct CodeRange {
+    std::uint32_t lo, hi;
+  };
+  /// The per-block value ranges, `[block * num_params() + p]` for block
+  /// rows [block * kBlockRows, (block + 1) * kBlockRows).  Derived on first
+  /// call (thread-safe); throws SnapshotError on a code outside its domain.
+  const std::vector<CodeRange>& block_ranges() const;
 
   void build_indexes();
   void derive_present_values();
@@ -163,6 +186,13 @@ class SearchSpace {
 
   // Keeps a loaded snapshot buffer alive while views borrow from it.
   std::shared_ptr<const void> snapshot_buffer_;
+
+  // Lazily-derived block ranges; boxed so the space stays movable.
+  struct BlockRanges {
+    std::once_flag once;
+    std::vector<CodeRange> ranges;
+  };
+  std::unique_ptr<BlockRanges> block_ranges_ = std::make_unique<BlockRanges>();
 };
 
 }  // namespace tunespace::searchspace

@@ -69,7 +69,11 @@ class Rng {
     }
   }
 
-  /// Choose k distinct indices out of n (k <= n), in random order.
+  /// Choose k distinct indices out of n (k <= n), in random order: the
+  /// first k entries of a partial Fisher-Yates shuffle of [0, n), drawing
+  /// index(n - i) for i = 0 .. k-1.  O(k) time and memory.  The draws and
+  /// the output are result bits for every optimizer that samples (see
+  /// CONTRIBUTING, "Optimizer-query invariants").
   std::vector<std::size_t> sample_indices(std::size_t n, std::size_t k);
 
   /// Derive an independent child generator (for parallel / per-item streams).

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <span>
 
 namespace tunespace::searchspace {
 
@@ -13,36 +14,22 @@ std::vector<std::size_t> random_sample(const SubSpace& view, std::size_t count,
   return rng.sample_indices(view.size(), count);
 }
 
-namespace {
-
-double l1_distance(const SubSpace& view, std::size_t row,
-                   const std::vector<std::uint32_t>& target) {
-  double d = 0;
-  for (std::size_t p = 0; p < view.num_params(); ++p) {
-    const double span = std::max<std::size_t>(1, view.problem().domain(p).size() - 1);
-    d += std::fabs(static_cast<double>(view.value_index(row, p)) -
-                   static_cast<double>(target[p])) /
-         static_cast<double>(span);
-  }
-  return d;
-}
-
-}  // namespace
-
 std::size_t snap_to_valid(const SubSpace& view,
                           const std::vector<std::uint32_t>& target) {
   assert(!view.empty());
-  // Exact hit first.
+  // 1. Exact hit.
   if (auto r = view.find(target)) return *r;
-  // Scan the smallest posting list among the target coordinates; if the
-  // target value of some parameter never occurs, use its nearest present
-  // value instead.  Posting lengths are the parent's (an upper bound on the
-  // view's, exact for a whole-space view).
+  // 2. Where the target value of some parameter never occurs in the view,
+  //    use its nearest present value instead.
+  // 3. The parameter whose value has the fewest rows in the parent picks
+  //    the candidates.  (The parent's counts are an upper bound on the
+  //    view's, exact for a whole-space view.)
+  const SearchSpace& parent = view.parent();
+  const std::size_t d = view.num_params();
   std::size_t best_param = 0;
   std::uint32_t best_vi = 0;
   std::size_t best_count = 0;
-  bool have_list = false;
-  for (std::size_t p = 0; p < view.num_params(); ++p) {
+  for (std::size_t p = 0; p < d; ++p) {
     std::uint32_t vi = target[p];
     const auto& present = view.present_values(p);
     if (!std::binary_search(present.begin(), present.end(), vi)) {
@@ -56,26 +43,79 @@ std::size_t snap_to_valid(const SubSpace& view,
       }
       vi = nearest;
     }
-    const std::size_t count = view.parent().rows_with(p, vi).size();
-    if (!have_list || count < best_count) {
+    const std::size_t count = parent.rows_with(p, vi).size();
+    if (p == 0 || count < best_count) {
       best_param = p;
       best_vi = vi;
       best_count = count;
-      have_list = true;
     }
   }
-  double best_d = std::numeric_limits<double>::infinity();
-  std::size_t best_row = 0;
-  for (std::uint32_t parent_row : view.parent().rows_with(best_param, best_vi)) {
-    const auto r = view.local_of(parent_row);
-    if (!r) continue;
-    const double d = l1_distance(view, *r, target);
-    if (d < best_d) {
-      best_d = d;
-      best_row = *r;
+
+  // 4. Among the view's rows with that value, in ascending order, the first
+  //    with the smallest normalized L1 distance to the target, summed in
+  //    parameter order.  term[base[p] + v] is parameter p's summand for
+  //    value index v.
+  std::vector<std::size_t> base(d);
+  std::vector<double> term;
+  for (std::size_t p = 0; p < d; ++p) {
+    const std::size_t m = view.problem().domain(p).size();
+    const double span = static_cast<double>(std::max<std::size_t>(1, m - 1));
+    base[p] = term.size();
+    for (std::size_t v = 0; v < m; ++v) {
+      const double diff = static_cast<double>(v) - static_cast<double>(target[p]);
+      term.push_back(std::fabs(diff) / span);
     }
   }
-  return best_row;
+  // The walk visits the parent's rows in blocks and skips a block that
+  // holds no row with the chosen value, or whose lower bound -- each
+  // parameter's smallest term within the block's range, summed in
+  // parameter order -- already reaches the best sum; it abandons a row once
+  // its partial sum does.  Both are exact: adding non-negative doubles
+  // never lowers a sum under round-to-nearest, and a later row wins only
+  // with a strictly smaller sum.
+  const std::vector<SearchSpace::CodeRange>& ranges = parent.block_ranges();
+  const solver::PackedColumn& column = parent.solutions().column(best_param);
+  const std::span<const std::uint32_t> selection = view.selection();
+  const std::size_t n = parent.size();
+  double best_sum = std::numeric_limits<double>::infinity();
+  std::size_t best_local = 0;
+  const auto consider = [&](std::size_t row, std::size_t local) {
+    double sum = 0;
+    for (std::size_t p = 0; p < d && sum < best_sum; ++p) {
+      sum += term[base[p] + parent.value_index(row, p)];
+    }
+    if (sum < best_sum) {
+      best_sum = sum;
+      best_local = local;
+    }
+  };
+  std::uint32_t codes[SearchSpace::kBlockRows];
+  std::size_t cursor = 0;  // first selection entry not in an earlier block
+  for (std::size_t first = 0; first < n; first += SearchSpace::kBlockRows) {
+    const SearchSpace::CodeRange* range = &ranges[first / SearchSpace::kBlockRows * d];
+    if (best_vi < range[best_param].lo || best_vi > range[best_param].hi) continue;
+    double bound = 0;
+    for (std::size_t p = 0; p < d; ++p) {
+      bound += term[base[p] + std::clamp(target[p], range[p].lo, range[p].hi)];
+    }
+    if (bound >= best_sum) continue;
+    const std::size_t len = std::min(SearchSpace::kBlockRows, n - first);
+    column.decode(first, len, codes);
+    if (view.is_whole()) {
+      for (std::size_t i = 0; i < len; ++i) {
+        if (codes[i] == best_vi) consider(first + i, first + i);
+      }
+      continue;
+    }
+    const auto next = std::lower_bound(selection.begin() + cursor, selection.end(), first);
+    cursor = static_cast<std::size_t>(next - selection.begin());
+    for (; cursor < selection.size() && selection[cursor] < first + len; ++cursor) {
+      if (codes[selection[cursor] - first] == best_vi) {
+        consider(selection[cursor], cursor);
+      }
+    }
+  }
+  return best_local;
 }
 
 std::vector<std::size_t> latin_hypercube_sample(const SubSpace& view,

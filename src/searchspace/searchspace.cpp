@@ -191,6 +191,31 @@ void SearchSpace::derive_present_values() {
   }
 }
 
+const std::vector<SearchSpace::CodeRange>& SearchSpace::block_ranges() const {
+  std::call_once(block_ranges_->once, [this] {
+    const std::size_t n = size();
+    const std::size_t d = num_params();
+    const std::size_t blocks = (n + kBlockRows - 1) / kBlockRows;
+    std::vector<CodeRange> ranges(blocks * d);
+    std::uint32_t values[kBlockRows];
+    for (std::size_t p = 0; p < d; ++p) {
+      const solver::PackedColumn& col = solutions_.column(p);
+      const std::size_t m = problem_.domain(p).size();
+      for (std::size_t b = 0; b < blocks; ++b) {
+        const std::size_t len = std::min(kBlockRows, n - b * kBlockRows);
+        col.decode(b * kBlockRows, len, values);
+        const auto [lo, hi] = std::minmax_element(values, values + len);
+        // A snapshot loaded at SnapshotVerify::kShape borrows the columns
+        // unchecked; snapping indexes per-value tables with these codes.
+        if (*hi >= m) throw SnapshotError("packed code outside its domain");
+        ranges[b * d + p] = {*lo, *hi};
+      }
+    }
+    block_ranges_->ranges = std::move(ranges);
+  });
+  return block_ranges_->ranges;
+}
+
 std::optional<std::size_t> SearchSpace::find(
     const std::vector<std::uint32_t>& index_row) const {
   if (index_row.size() != num_params() || hash_table_.empty()) {

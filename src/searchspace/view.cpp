@@ -110,7 +110,13 @@ const std::vector<std::uint32_t>& SubSpace::present_values(std::size_t p) const 
       seen[q].assign(problem().domain(q).size(), 0);
     }
     for (std::uint32_t r : sel_->rows) {
-      for (std::size_t q = 0; q < d; ++q) seen[q][parent.value_index(r, q)] = 1;
+      for (std::size_t q = 0; q < d; ++q) {
+        // A snapshot loaded at SnapshotVerify::kShape borrows the columns
+        // unchecked; a code past its domain would write past `seen`.
+        const std::uint32_t vi = parent.value_index(r, q);
+        if (vi >= seen[q].size()) throw SnapshotError("packed code outside its domain");
+        seen[q][vi] = 1;
+      }
     }
     for (std::size_t q = 0; q < d; ++q) {
       for (std::size_t vi = 0; vi < seen[q].size(); ++vi) {

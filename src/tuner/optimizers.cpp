@@ -33,6 +33,29 @@ std::unique_ptr<Optimizer> make_optimizer(const std::string& name) {
 using searchspace::NeighborMethod;
 using searchspace::SubSpace;
 
+namespace {
+
+/// The Hamming-1 neighbourhoods one run() has asked for.  Mutation and
+/// annealing steps revisit the same rows many times, and a view's
+/// neighbourhoods never change, so each row's list is computed once.
+class Hamming1Memo {
+ public:
+  explicit Hamming1Memo(const SubSpace& space) : space_(space) {}
+  const std::vector<std::size_t>& operator()(std::size_t row) {
+    auto [it, inserted] = lists_.try_emplace(row);
+    if (inserted) {
+      it->second = searchspace::neighbors_of(space_, row, NeighborMethod::Hamming1);
+    }
+    return it->second;
+  }
+
+ private:
+  const SubSpace& space_;
+  std::unordered_map<std::size_t, std::vector<std::size_t>> lists_;
+};
+
+}  // namespace
+
 void RandomSearch::run(EvalContext& ctx) {
   const std::size_t n = ctx.space.size();
   if (n == 0) return;
@@ -72,6 +95,7 @@ void GeneticAlgorithm::run(EvalContext& ctx) {
     population.push_back({row, ctx.evaluate(row)});
   }
 
+  Hamming1Memo hamming1(space);
   auto tournament_pick = [&]() -> const Member& {
     const Member* best = &population[ctx.rng->index(population.size())];
     for (std::size_t t = 1; t < params_.tournament; ++t) {
@@ -102,7 +126,7 @@ void GeneticAlgorithm::run(EvalContext& ctx) {
       std::size_t row = searchspace::snap_to_valid(space, child);
       // Mutation: jump to a random valid Hamming-1 neighbour.
       if (ctx.rng->chance(params_.mutation_rate)) {
-        auto neigh = searchspace::neighbors_of(space, row, NeighborMethod::Hamming1);
+        const auto& neigh = hamming1(row);
         if (!neigh.empty()) row = neigh[ctx.rng->index(neigh.size())];
       }
       next.push_back({row, ctx.evaluate(row)});
@@ -119,8 +143,9 @@ void SimulatedAnnealing::run(EvalContext& ctx) {
   double current_perf = ctx.evaluate(current);
   double temperature = params_.initial_temperature * std::max(current_perf, 1.0);
 
+  Hamming1Memo hamming1(space);
   while (!ctx.exhausted()) {
-    auto neigh = searchspace::neighbors_of(space, current, NeighborMethod::Hamming1);
+    const auto& neigh = hamming1(current);
     if (neigh.empty()) {
       // Isolated configuration: restart from a random point.
       current = ctx.rng->index(space.size());
@@ -229,15 +254,40 @@ void Nsga2::run(EvalContext& ctx) {
   // function of the member sequence — determinism comes free.
   const auto rank_and_crowd = [&spec](std::vector<Member>& members) {
     const std::size_t k = members.size();
+    const std::size_t objectives = spec.objectives.size();
+    // Each member's components, read once: value[i * objectives + o].
+    std::vector<double> value(k * objectives);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t o = 0; o < objectives; ++o) {
+        value[i * objectives + o] =
+            ObjectiveSpec::component(members[i].m, spec.objectives[o].name);
+      }
+    }
+    // ObjectiveSpec::dominates over those values: direction-adjusted, no
+    // worse in every objective and strictly better in one.
+    const auto oriented = [&](std::size_t i, std::size_t o) {
+      const double v = value[i * objectives + o];
+      return spec.objectives[o].direction == Direction::kMinimize ? -v : v;
+    };
+    const auto dominates = [&](std::size_t a, std::size_t b) {
+      bool strictly_better = false;
+      for (std::size_t o = 0; o < objectives; ++o) {
+        const double av = oriented(a, o);
+        const double bv = oriented(b, o);
+        if (av < bv) return false;
+        if (av > bv) strictly_better = true;
+      }
+      return strictly_better;
+    };
     std::vector<std::vector<std::size_t>> dominated(k);
     std::vector<std::size_t> dominators(k, 0);
     std::vector<std::vector<std::size_t>> fronts(1);
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = 0; j < k; ++j) {
         if (i == j) continue;
-        if (spec.dominates(members[i].m, members[j].m)) {
+        if (dominates(i, j)) {
           dominated[i].push_back(j);
-        } else if (spec.dominates(members[j].m, members[i].m)) {
+        } else if (dominates(j, i)) {
           dominators[i]++;
         }
       }
@@ -265,29 +315,18 @@ void Nsga2::run(EvalContext& ctx) {
         for (std::size_t i : front) members[i].crowding = inf;
         continue;
       }
-      for (const Objective& objective : spec.objectives) {
+      for (std::size_t o = 0; o < objectives; ++o) {
+        const auto at = [&](std::size_t i) { return value[i * objectives + o]; };
         std::vector<std::size_t> order(front);
         std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                           return ObjectiveSpec::component(members[a].m,
-                                                           objective.name) <
-                                  ObjectiveSpec::component(members[b].m,
-                                                           objective.name);
-                         });
-        const double lo =
-            ObjectiveSpec::component(members[order.front()].m, objective.name);
-        const double hi =
-            ObjectiveSpec::component(members[order.back()].m, objective.name);
+                         [&](std::size_t a, std::size_t b) { return at(a) < at(b); });
+        const double lo = at(order.front());
+        const double hi = at(order.back());
         members[order.front()].crowding = inf;
         members[order.back()].crowding = inf;
         if (hi <= lo) continue;  // degenerate axis: no spread to reward
         for (std::size_t s = 1; s + 1 < order.size(); ++s) {
-          members[order[s]].crowding +=
-              (ObjectiveSpec::component(members[order[s + 1]].m,
-                                        objective.name) -
-               ObjectiveSpec::component(members[order[s - 1]].m,
-                                        objective.name)) /
-              (hi - lo);
+          members[order[s]].crowding += (at(order[s + 1]) - at(order[s - 1])) / (hi - lo);
         }
       }
     }
@@ -311,6 +350,7 @@ void Nsga2::run(EvalContext& ctx) {
     return better(b, a) ? b : a;
   };
 
+  Hamming1Memo hamming1(space);
   std::vector<std::uint32_t> child(d);
   while (!ctx.exhausted()) {
     std::vector<Member> combined = population;
@@ -325,8 +365,7 @@ void Nsga2::run(EvalContext& ctx) {
       }
       std::size_t row = searchspace::snap_to_valid(space, child);
       if (ctx.rng->chance(params_.mutation_rate)) {
-        auto neigh =
-            searchspace::neighbors_of(space, row, NeighborMethod::Hamming1);
+        const auto& neigh = hamming1(row);
         if (!neigh.empty()) row = neigh[ctx.rng->index(neigh.size())];
       }
       combined.push_back({row, measure(row), 0, 0});

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <unordered_map>
 
 namespace tunespace::util {
 
@@ -73,15 +74,23 @@ bool Rng::chance(double p) { return uniform() < p; }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
   assert(k <= n);
-  // Partial Fisher-Yates over an index vector; O(n) init, fine at our scales.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+  // Partial Fisher-Yates over the identity vector [0, n), with only the
+  // entries a swap displaced stored: the same draws and output as the dense
+  // shuffle, in O(k) time and memory whatever n is.  Position i is never
+  // read again once step i has taken it.
+  std::unordered_map<std::size_t, std::size_t> displaced;
+  displaced.reserve(k);
+  const auto at = [&](std::size_t pos) {
+    const auto it = displaced.find(pos);
+    return it == displaced.end() ? pos : it->second;
+  };
+  std::vector<std::size_t> picked(k);
   for (std::size_t i = 0; i < k; ++i) {
-    std::size_t j = i + index(n - i);
-    std::swap(idx[i], idx[j]);
+    const std::size_t j = i + index(n - i);
+    picked[i] = at(j);
+    displaced[j] = at(i);
   }
-  idx.resize(k);
-  return idx;
+  return picked;
 }
 
 Rng Rng::split() {

@@ -291,6 +291,36 @@ TEST(SnapshotErrorPaths, OutOfRangePostingRowsAreRejectedByPushdown) {
   EXPECT_GT(scanned.size(), 0u);
 }
 
+// --- Packed codes a shape-verified snapshot does not check ---------------------
+// kShape borrows the packed columns too.  A code at or above its domain's
+// size is representable whenever the size is not a power of two, so the
+// paths that index per-value tables with codes check them there.
+
+TEST(SnapshotErrorPaths, OutOfDomainPackedCodesAreRejectedWhereTheyIndexTables) {
+  TempSnapshot snap;  // a in {1,2,4,8}, b in {1,2,3}: b's codes take 2 bits
+  std::string corrupt = snap.bytes();
+  const std::uint64_t columns = snap.table_u64(corrupt, 1, 8);
+  std::uint64_t a_words = 0;
+  std::memcpy(&a_words, corrupt.data() + columns + 8, sizeof a_words);
+  // Column b's first word, all ones: every code reads 3, one past "3".
+  const std::uint64_t ones = ~std::uint64_t{0};
+  std::memcpy(corrupt.data() + columns + 16 * 2 + a_words * 8, &ones, sizeof ones);
+  snap.write(corrupt);
+  EXPECT_THROW(searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                          SnapshotVerify::kFull),
+               SnapshotError);
+
+  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                                 SnapshotVerify::kShape);
+  const searchspace::SubSpace view =
+      searchspace::SubSpace(loaded).restrict(searchspace::query::eq("a", 1));
+  ASSERT_EQ(view.size(), 3u);
+  EXPECT_THROW(view.present_values(1), SnapshotError);
+  // A whole-view snap miss (a = 8, b = 3) derives the block ranges.
+  const searchspace::SubSpace whole(loaded);
+  EXPECT_THROW(searchspace::snap_to_valid(whole, {3, 2}), SnapshotError);
+}
+
 // --- CSV rejection messages --------------------------------------------------
 
 TEST(CsvErrorPaths, HeaderMismatchesAreNamed) {

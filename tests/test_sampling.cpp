@@ -4,11 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
+#include <latch>
 #include <limits>
+#include <numeric>
 #include <set>
+#include <thread>
 #include <unordered_map>
 
 #include "support/spec_gen.hpp"
+#include "tunespace/searchspace/io.hpp"
 #include "tunespace/searchspace/sampling.hpp"
 #include "tunespace/searchspace/view.hpp"
 #include "tunespace/spaces/realworld.hpp"
@@ -217,6 +222,113 @@ TEST(Sampling, SnapToValidFollowsItsRuleOnTable2SpecsAndGeneratedSpecs) {
         std::make_shared<const SearchSpace>(testsupport::random_spec(spec_seed));
     expect_snaps_match_the_rule(SubSpace(space), seed++,
                                 "spec_gen seed " + std::to_string(spec_seed));
+  }
+}
+
+/// `count` crossover-style targets (each parameter from one of two random
+/// rows of `space`) that are not rows of `space`: snap misses.
+std::vector<std::vector<std::uint32_t>> crossover_misses(const SearchSpace& space,
+                                                         std::size_t count,
+                                                         std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<std::uint32_t>> targets;
+  std::vector<std::uint32_t> target(space.num_params());
+  while (targets.size() < count) {
+    const std::vector<std::uint32_t> a = space.indices(rng.index(space.size()));
+    const std::vector<std::uint32_t> b = space.indices(rng.index(space.size()));
+    for (std::size_t p = 0; p < target.size(); ++p) {
+      target[p] = rng.chance(0.5) ? a[p] : b[p];
+    }
+    if (!space.find(target)) targets.push_back(target);
+  }
+  return targets;
+}
+
+TEST(Sampling, SnapOnAShapeLoadedSnapshotEqualsSnapOnTheFreshBuild) {
+  // A kShape load borrows its columns from the file buffer; the block
+  // ranges the snap walk skips by are derived over those borrowed words.
+  const tuner::TuningProblem spec = spaces::gemm().spec;
+  const SearchSpace fresh(spec);
+  const std::string dir = "test_sampling_scratch";
+  std::filesystem::create_directories(dir);
+  save_snapshot(fresh, dir + "/gemm.tss");
+  const SearchSpace loaded =
+      load_snapshot(spec, dir + "/gemm.tss", SnapshotVerify::kShape);
+  std::filesystem::remove_all(dir);
+  const auto pred = query::in_set("MWG", {csp::Value(32), csp::Value(128)});
+  const SubSpace fresh_view = SubSpace(fresh).restrict(pred);
+  const SubSpace loaded_view = SubSpace(loaded).restrict(pred);
+  for (const auto& target : crossover_misses(fresh, 300, 3)) {
+    ASSERT_EQ(snap_to_valid(loaded, target), snap_to_valid(fresh, target));
+    ASSERT_EQ(snap_to_valid(loaded_view, target), snap_to_valid(fresh_view, target));
+  }
+}
+
+TEST(Sampling, SnapTiesGoToTheLowestRowAcrossBlockBoundaries) {
+  // Every diagonal target (k, k) is a miss with up to four rows at the
+  // smallest distance.  Rows come out in x-major order, 31 per x, so for
+  // even k the tied pair (k, k-1), (k, k+1) sits at rows 32k-1 and 32k:
+  // either side of a 64-row block boundary.
+  std::vector<std::int64_t> values(32);
+  std::iota(values.begin(), values.end(), 0);
+  tuner::TuningProblem spec("ties");
+  spec.add_param("x", values).add_param("y", values);
+  spec.add_constraint("x != y");
+  const SearchSpace space(spec);
+  ASSERT_EQ(space.size(), 32u * 31u);
+  const SubSpace whole(space);
+  const SubSpace restricted = whole.restrict(query::between("y", 5, 30));
+  for (const SubSpace& view : {whole, restricted}) {
+    const SnapOracle oracle(view);
+    for (std::uint32_t k = 0; k < 32; ++k) {
+      const std::vector<std::uint32_t> diagonal = {k, k};
+      ASSERT_EQ(snap_to_valid(view, diagonal), oracle.snap(diagonal)) << "k " << k;
+    }
+  }
+  for (std::uint32_t k = 2; k < 32; k += 2) {
+    ASSERT_EQ(space.indices(32 * k - 1), (std::vector<std::uint32_t>{k, k - 1}));
+    EXPECT_EQ(snap_to_valid(whole, {k, k}), 32 * k - 1) << "k " << k;
+  }
+}
+
+TEST(Sampling, ConcurrentFirstMissesOnAFreshSpaceAgreeWithOneThread) {
+  // Four threads take their first misses at once on a space whose block
+  // ranges (and a view whose present values) nobody has derived yet.
+  const tuner::TuningProblem spec = spaces::dedispersion().spec;
+  const auto pred = query::between("block_size_x", csp::Value(8), csp::Value(512));
+  std::vector<std::vector<std::uint32_t>> targets;
+  std::vector<std::size_t> expect_whole, expect_view;
+  {
+    const SearchSpace reference(spec);
+    const SubSpace view = SubSpace(reference).restrict(pred);
+    targets = crossover_misses(reference, 100, 11);
+    for (const auto& target : targets) {
+      expect_whole.push_back(snap_to_valid(reference, target));
+      expect_view.push_back(snap_to_valid(view, target));
+    }
+  }
+  const SearchSpace shared(spec);
+  const SubSpace whole(shared);
+  const SubSpace view = whole.restrict(pred);
+  constexpr std::size_t kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::vector<std::size_t>> got_whole(kThreads), got_view(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (const auto& target : targets) {
+        // Half the threads start on the view, half on the whole space.
+        if (t % 2 == 0) got_whole[t].push_back(snap_to_valid(whole, target));
+        got_view[t].push_back(snap_to_valid(view, target));
+        if (t % 2 == 1) got_whole[t].push_back(snap_to_valid(whole, target));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got_whole[t], expect_whole) << "thread " << t;
+    EXPECT_EQ(got_view[t], expect_view) << "thread " << t;
   }
 }
 

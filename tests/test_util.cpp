@@ -74,6 +74,25 @@ TEST(RngTest, SampleIndicesDistinct) {
   for (auto i : idx) EXPECT_LT(i, 100u);
 }
 
+TEST(RngTest, SampleIndicesMakesTheDenseShufflesDraws) {
+  // The dense partial Fisher-Yates sample_indices must reproduce: same
+  // picks in the same order, and the same generator state afterwards.
+  const auto dense = [](Rng& rng, std::size_t n, std::size_t k) {
+    std::vector<std::size_t> idx(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = i;
+    for (std::size_t i = 0; i < k; ++i) std::swap(idx[i], idx[i + rng.index(n - i)]);
+    idx.resize(k);
+    return idx;
+  };
+  for (std::size_t n : {1u, 7u, 1000u, 389208u}) {
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, n / 2, n}) {
+      Rng a(n * 31 + k), b(n * 31 + k);
+      EXPECT_EQ(a.sample_indices(n, k), dense(b, n, k)) << "n " << n << " k " << k;
+      EXPECT_EQ(a(), b()) << "n " << n << " k " << k;
+    }
+  }
+}
+
 TEST(RngTest, ShufflePermutes) {
   Rng rng(9);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};
