@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark): the per-evaluation costs that drive
 // the macro results — compiled vs interpreted constraint evaluation, the
 // boxed vs int64 evaluator tiers, specific vs generic constraints, and
-// SearchSpace lookup, neighbour, snap and sampling operations.
+// SearchSpace lookup, neighbour, snap, restriction and sampling operations.
 //
 // The custom main() additionally runs a self-timed boxed-vs-int64 comparison
 // over an integer-only expression mix and writes machine-readable results to
@@ -12,6 +12,7 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "tunespace/expr/recognizer.hpp"
 #include "tunespace/searchspace/neighbors.hpp"
 #include "tunespace/searchspace/sampling.hpp"
+#include "tunespace/searchspace/view.hpp"
 #include "tunespace/spaces/realworld.hpp"
 
 using namespace tunespace;
@@ -181,10 +183,10 @@ static void BM_LatinHypercube64(benchmark::State& state) {
 }
 BENCHMARK(BM_LatinHypercube64)->Unit(benchmark::kMicrosecond);
 
-// A snap miss on the two largest tuning spaces (arg 0: Hotspot, 1: GEMM),
-// whose posting lists run to ~13k rows per value.  Targets are uniform
-// crossovers of two random rows, as GA and NSGA-II children are, drawn
-// before the timed loop; only the misses among them are kept.
+// A snap miss on the two largest tuning spaces (arg 0: Hotspot, 1: GEMM).
+// Targets are uniform crossovers of two random rows, as GA and NSGA-II
+// children are, drawn before the timed loop; only the misses among them are
+// kept.
 static void BM_SnapToValidMiss(benchmark::State& state) {
   const auto rw = state.range(0) == 0 ? spaces::hotspot() : spaces::gemm();
   searchspace::SearchSpace space(rw.spec);
@@ -208,6 +210,43 @@ static void BM_SnapToValidMiss(benchmark::State& state) {
   state.SetLabel(rw.name);
 }
 BENCHMARK(BM_SnapToValidMiss)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// The four restrictions of bench_query (args 0-3), on a space whose summary
+// is already derived.
+static void BM_Restrict(benchmark::State& state) {
+  namespace query = searchspace::query;
+  const std::vector<query::Predicate> predicates = {
+      query::eq("MWG", 64) && query::in_set("MDIMC", {8, 16}),
+      query::between("KWG", 16, 32),
+      query::eq("block_size_x", 32) && query::between("tile_size_x", 1, 3),
+      query::eq("sh_power", 1) && query::between("blocks_per_sm", 1, 4),
+  };
+  const query::Predicate& pred = predicates[static_cast<std::size_t>(state.range(0))];
+  const auto rw = state.range(0) < 2 ? spaces::gemm() : spaces::hotspot();
+  searchspace::SearchSpace space(rw.spec);
+  benchmark::DoNotOptimize(searchspace::SubSpace::filter(space, pred).size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(searchspace::SubSpace::filter(space, pred).size());
+  }
+  state.SetLabel(rw.name + ": " + query::to_string(pred));
+}
+BENCHMARK(BM_Restrict)->DenseRange(0, 3)->Unit(benchmark::kMicrosecond);
+
+// The first query on a fresh Hotspot space: deriving its summary (code
+// ranges, value counts, present values) from the packed columns.  The
+// space is built and destroyed while timing is paused.
+static void BM_SummaryFirstUse(benchmark::State& state) {
+  const auto spec = spaces::hotspot().spec;
+  std::optional<searchspace::SearchSpace> space;
+  for (auto _ : state) {
+    state.PauseTiming();
+    space.reset();
+    space.emplace(spec);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(space->present_values(0).size());
+  }
+}
+BENCHMARK(BM_SummaryFirstUse)->Iterations(8)->Unit(benchmark::kMillisecond);
 
 // A GA/NSGA-II initial population draw on Hotspot: 20 of 389,208 rows.
 static void BM_SampleIndices(benchmark::State& state) {

@@ -1,21 +1,20 @@
-// SubSpace restriction benchmark: predicate pushdown vs packed-column scan
-// vs a full re-solve with the restriction added as a constraint, on the
-// real-world gemm and hotspot spaces.  Emitted as BENCH_query.json.
+// SubSpace restriction benchmark: restricting a resolved space vs a full
+// re-solve with the restriction added as a constraint, on the real-world
+// gemm and hotspot spaces.  Emitted as BENCH_query.json.
 //
 // The paper's point is that the space is constructed *once*; tune-time
 // restrictions (hardware caps discovered at runtime, pinned parameters)
-// should then cost index work, not another solve.  For every scenario the
-// harness (1) resolves the parent space, (2) builds the restricted SubSpace
-// through the posting-list pushdown path and through the scan fallback,
-// (3) re-solves the spec with an equivalent constraint expression appended,
-// and (4) verifies the three agree: pushdown and scan row-for-row, and both
-// equal to the re-solved space as a configuration set (a re-solve may
-// enumerate in a different order because the added constraint shifts the
-// solver's variable ordering) plus row-for-row against a brute-force filter
-// of the parent.  Any disagreement is a hard failure regardless of flags.
+// should then cost a scan of the stored space, not another solve.  For
+// every scenario the harness (1) resolves the parent space, (2) builds the
+// restricted SubSpace, (3) re-solves the spec with an equivalent constraint
+// expression appended, and (4) verifies they agree: the view row-for-row
+// against a brute-force filter of the parent, and as a configuration set
+// against the re-solved space (a re-solve may enumerate in a different
+// order because the added constraint shifts the solver's variable
+// ordering).  Any disagreement is a hard failure regardless of flags.
 //
 // CI gate:  bench_query --min-speedup <x>
-// exits non-zero when (total re-solve seconds) / (total pushdown seconds)
+// exits non-zero when (total re-solve seconds) / (total restrict seconds)
 // across the scenarios drops below <x> — restriction must stay at least <x>
 // times faster than re-solving.
 #include <algorithm>
@@ -76,15 +75,6 @@ std::vector<std::string> sorted_configs(const searchspace::SearchSpace& space) {
   return sorted_configs(SubSpace(space));
 }
 
-/// Row-for-row agreement of two views over the same parent.
-bool same_rows(const SubSpace& a, const SubSpace& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t r = 0; r < a.size(); ++r) {
-    if (a.parent_row(r) != b.parent_row(r)) return false;
-  }
-  return true;
-}
-
 /// Brute-force reference: parent rows matching the compiled predicate, by a
 /// full packed-column sweep outside the view machinery.
 std::vector<std::size_t> brute_force_rows(const searchspace::SearchSpace& space,
@@ -110,16 +100,11 @@ struct CaseReport {
   std::string space;
   std::size_t rows_parent = 0;
   std::size_t rows_out = 0;
-  double pushdown_seconds = 0;
-  double scan_seconds = 0;
+  double restrict_seconds = 0;
   double resolve_seconds = 0;
-  std::string exec_auto;  ///< strategy the planner picks on its own
   bool identical = true;
-  double pushdown_speedup() const {
-    return pushdown_seconds > 0 ? resolve_seconds / pushdown_seconds : 0;
-  }
-  double scan_speedup() const {
-    return scan_seconds > 0 ? resolve_seconds / scan_seconds : 0;
+  double restrict_speedup() const {
+    return restrict_seconds > 0 ? resolve_seconds / restrict_seconds : 0;
   }
 };
 
@@ -137,7 +122,7 @@ int main(int argc, char** argv) {
   }
 
   const int repeats = 5;
-  bench::section("SubSpace restriction: pushdown vs scan vs full re-solve");
+  bench::section("SubSpace restriction vs full re-solve");
 
   // Resolve each parent space once (the construct-once premise).
   std::vector<spaces::RealWorldSpace> worlds;
@@ -154,8 +139,8 @@ int main(int argc, char** argv) {
 
   std::vector<CaseReport> reports;
   bool all_identical = true;
-  util::Table table({"case", "space", "rows", "pushdown", "scan", "re-solve",
-                     "speedup", "auto", "identical"});
+  util::Table table({"case", "space", "rows", "restrict", "re-solve", "speedup",
+                     "identical"});
   for (const Scenario& sc : scenarios()) {
     std::size_t world = 0;
     while (worlds[world].name != sc.space) ++world;
@@ -166,36 +151,23 @@ int main(int argc, char** argv) {
     report.space = sc.space;
     report.rows_parent = parent.size();
 
-    SubSpace pushdown_view(parent);
-    SubSpace scan_view(parent);
+    // The first repeat also derives the parent's summary; the min is taken
+    // over the repeats after it as well.
+    SubSpace view(parent);
     for (int rep = 0; rep < repeats; ++rep) {
-      query::QueryStats stats;
       util::WallTimer timer;
-      SubSpace view = SubSpace::filter(parent, sc.predicate,
-                                       {query::Exec::kPushdown}, &stats);
+      SubSpace restricted = SubSpace::filter(parent, sc.predicate);
       const double seconds = timer.seconds();
-      if (rep == 0 || seconds < report.pushdown_seconds) {
-        report.pushdown_seconds = seconds;
+      if (rep == 0 || seconds < report.restrict_seconds) {
+        report.restrict_seconds = seconds;
       }
-      if (rep == 0) pushdown_view = view;
-
-      timer.reset();
-      view = SubSpace::filter(parent, sc.predicate, {query::Exec::kScan}, &stats);
-      const double sseconds = timer.seconds();
-      if (rep == 0 || sseconds < report.scan_seconds) report.scan_seconds = sseconds;
-      if (rep == 0) scan_view = view;
+      if (rep == 0) view = restricted;
     }
-    report.rows_out = pushdown_view.size();
-    {
-      query::QueryStats stats;
-      SubSpace::filter(parent, sc.predicate, {query::Exec::kAuto}, &stats);
-      report.exec_auto =
-          stats.exec_used == query::Exec::kPushdown ? "pushdown" : "scan";
-    }
+    report.rows_out = view.size();
 
     // Full re-solve with the equivalent constraint appended.  Also a min
     // over repeats: a single noisy re-solve would inflate the gated
-    // speedup ratio and could mask a pushdown regression.
+    // speedup ratio and could mask a restriction regression.
     tuner::TuningProblem restricted_spec = worlds[world].spec;
     restricted_spec.add_constraint(sc.expression);
     const int resolve_repeats = 3;
@@ -209,62 +181,53 @@ int main(int argc, char** argv) {
       if (seconds < report.resolve_seconds) report.resolve_seconds = seconds;
     }
 
-    // Identity: pushdown == scan row-for-row, both == brute force
-    // row-for-row, and == the re-solved space as a configuration set.
-    report.identical = same_rows(pushdown_view, scan_view);
+    // Identity: the view == brute force row-for-row, and == the re-solved
+    // space as a configuration set.
     const auto brute = brute_force_rows(parent, sc.predicate);
-    report.identical = report.identical && brute.size() == pushdown_view.size();
+    report.identical = brute.size() == view.size();
     for (std::size_t r = 0; report.identical && r < brute.size(); ++r) {
-      report.identical = brute[r] == pushdown_view.parent_row(r);
+      report.identical = brute[r] == view.parent_row(r);
     }
     report.identical =
-        report.identical && sorted_configs(pushdown_view) == sorted_configs(resolved);
+        report.identical && sorted_configs(view) == sorted_configs(resolved);
     all_identical = all_identical && report.identical;
 
     table.add_row({report.name, report.space, std::to_string(report.rows_out),
-                   util::fmt_seconds(report.pushdown_seconds),
-                   util::fmt_seconds(report.scan_seconds),
+                   util::fmt_seconds(report.restrict_seconds),
                    util::fmt_seconds(report.resolve_seconds),
-                   util::fmt_double(report.pushdown_speedup(), 1) + "x",
-                   report.exec_auto, report.identical ? "yes" : "NO"});
+                   util::fmt_double(report.restrict_speedup(), 1) + "x",
+                   report.identical ? "yes" : "NO"});
     std::fprintf(stderr, "[query] %s/%s done\n", sc.space.c_str(), sc.name.c_str());
     reports.push_back(std::move(report));
   }
   table.print(std::cout);
 
-  double total_pushdown = 0, total_scan = 0, total_resolve = 0;
+  double total_restrict = 0, total_resolve = 0;
   for (const auto& r : reports) {
-    total_pushdown += r.pushdown_seconds;
-    total_scan += r.scan_seconds;
+    total_restrict += r.restrict_seconds;
     total_resolve += r.resolve_seconds;
   }
-  const double pushdown_speedup =
-      total_pushdown > 0 ? total_resolve / total_pushdown : 0;
-  const double scan_speedup = total_scan > 0 ? total_resolve / total_scan : 0;
-  std::printf(
-      "suite total: re-solve %.4fs, pushdown %.6fs (%.0fx), scan %.6fs (%.0fx)\n",
-      total_resolve, total_pushdown, pushdown_speedup, total_scan, scan_speedup);
+  const double restrict_speedup =
+      total_restrict > 0 ? total_resolve / total_restrict : 0;
+  std::printf("suite total: re-solve %.4fs, restrict %.6fs (%.0fx)\n", total_resolve,
+              total_restrict, restrict_speedup);
 
   if (std::FILE* f = std::fopen("BENCH_query.json", "w")) {
     std::fprintf(f, "{\n  \"bench\": \"query\",\n");
     std::fprintf(f, "  \"fast_mode\": %s,\n", bench::fast_mode() ? "true" : "false");
     std::fprintf(f, "  \"total_resolve_seconds\": %.6f,\n", total_resolve);
-    std::fprintf(f, "  \"total_pushdown_seconds\": %.6f,\n", total_pushdown);
-    std::fprintf(f, "  \"total_scan_seconds\": %.6f,\n", total_scan);
-    std::fprintf(f, "  \"pushdown_speedup\": %.2f,\n", pushdown_speedup);
-    std::fprintf(f, "  \"scan_speedup\": %.2f,\n", scan_speedup);
+    std::fprintf(f, "  \"total_restrict_seconds\": %.6f,\n", total_restrict);
+    std::fprintf(f, "  \"restrict_speedup\": %.2f,\n", restrict_speedup);
     std::fprintf(f, "  \"cases\": [\n");
     for (std::size_t i = 0; i < reports.size(); ++i) {
       const CaseReport& r = reports[i];
       std::fprintf(f,
                    "    {\"name\": \"%s\", \"space\": \"%s\", \"rows_parent\": %zu, "
-                   "\"rows_out\": %zu, \"pushdown_seconds\": %.6f, "
-                   "\"scan_seconds\": %.6f, \"resolve_seconds\": %.6f, "
-                   "\"pushdown_speedup\": %.2f, \"scan_speedup\": %.2f, "
-                   "\"exec_auto\": \"%s\", \"identical\": %s}%s\n",
+                   "\"rows_out\": %zu, \"restrict_seconds\": %.6f, "
+                   "\"resolve_seconds\": %.6f, \"restrict_speedup\": %.2f, "
+                   "\"identical\": %s}%s\n",
                    r.name.c_str(), r.space.c_str(), r.rows_parent, r.rows_out,
-                   r.pushdown_seconds, r.scan_seconds, r.resolve_seconds,
-                   r.pushdown_speedup(), r.scan_speedup(), r.exec_auto.c_str(),
+                   r.restrict_seconds, r.resolve_seconds, r.restrict_speedup(),
                    r.identical ? "true" : "false",
                    i + 1 < reports.size() ? "," : "");
     }
@@ -281,10 +244,10 @@ int main(int argc, char** argv) {
                  "brute-force reference (see table above)\n");
     return 1;
   }
-  if (gate_speedup > 0 && pushdown_speedup < gate_speedup) {
+  if (gate_speedup > 0 && restrict_speedup < gate_speedup) {
     std::fprintf(stderr,
-                 "FAIL: pushdown/re-solve speedup %.1fx below the %.1fx gate\n",
-                 pushdown_speedup, gate_speedup);
+                 "FAIL: restrict/re-solve speedup %.1fx below the %.1fx gate\n",
+                 restrict_speedup, gate_speedup);
     return 1;
   }
   return 0;

@@ -20,14 +20,15 @@
 //   sections  1 domains   parameter names + value lists (validated on load)
 //             2 columns   the bit-packed solution columns, words verbatim
 //             3 rowindex  the open-addressing row-lookup table
-//             4 posting   the CSR inverted indexes (offsets + row lists)
 //
 // Checksums are four-lane interleaved FNV-1a over 64-bit words.
-// load_snapshot memory-maps the file and *borrows* the column words, row
-// table and posting lists straight out of the mapping (zero-copy): no
-// parse, no copy, no index rebuild — the result is byte-identical to a
-// fresh construction (same enumeration order, same CSV bytes, same query
-// results) and reloading is orders of magnitude faster than re-solving.
+// load_snapshot memory-maps the file and *borrows* the column words and the
+// row table straight out of the mapping (zero-copy): no parse, no copy, no
+// index rebuild — the result is byte-identical to a fresh construction
+// (same enumeration order, same CSV bytes, same query results) and
+// reloading is orders of magnitude faster than re-solving.  The summary the
+// queries read (searchspace.hpp) is derived data and is not stored; a
+// loaded space derives it on first use, as a fresh one does.
 //
 // Two verification levels (see SnapshotVerify): kFull additionally streams
 // every section through its checksum; kShape validates the header, the
@@ -49,7 +50,7 @@
 namespace tunespace::searchspace {
 
 /// Snapshot format version written and accepted by this build.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Thrown when a snapshot cannot be used: missing file, truncation, bad
 /// magic, format-version or endianness mismatch, checksum failure, or a
@@ -70,7 +71,7 @@ enum class SnapshotVerify {
   kFull,
 };
 
-/// Serialize a resolved space (domains, packed columns, indexes) to `path`,
+/// Serialize a resolved space (domains, packed columns, row table) to `path`,
 /// atomically (temp file + rename).  Throws std::runtime_error on I/O error.
 void save_snapshot(const SearchSpace& space, const std::string& path);
 

@@ -11,10 +11,9 @@
 //
 // A Predicate is resolved against a concrete csp::Problem by compile(),
 // which lowers every condition to the set of *domain value indices* it
-// admits per parameter.  That compiled form is what the SubSpace executor
-// consumes: each per-parameter index set maps directly onto the
-// SearchSpace's CSR posting lists (predicate pushdown) or onto a bitmap
-// probe per scanned row (packed-column scan fallback).
+// admits per parameter.  That compiled form is what SubSpace::restrict
+// consumes: each per-parameter index set becomes a table with one entry per
+// domain value, tested against the packed columns 64 rows at a time.
 
 #include <cstdint>
 #include <memory>
@@ -90,27 +89,9 @@ struct CompiledPredicate {
 /// does not declare.
 CompiledPredicate compile(const Predicate& pred, const csp::Problem& problem);
 
-/// Execution strategy for applying a CompiledPredicate to a space.
-enum class Exec {
-  kAuto,      ///< cost-based choice between the two below (the default)
-  kPushdown,  ///< intersect CSR posting lists (index-driven)
-  kScan,      ///< test every candidate row against per-parameter bitmaps
-};
-
-/// Options for SubSpace::filter / SubSpace::restrict.
-struct QueryOptions {
-  Exec exec = Exec::kAuto;
-};
-
 /// Observability counters filled by a filter/restrict execution.
 struct QueryStats {
-  /// Strategy actually taken.  When the restriction does no row work — a
-  /// trivial predicate (selection shared) or an unsatisfiable mask (empty
-  /// view) — no strategy runs: this echoes the requested option and
-  /// rows_examined stays 0.
-  Exec exec_used = Exec::kAuto;
   std::size_t candidate_rows = 0;   ///< rows the restriction started from
-  std::size_t rows_examined = 0;    ///< posting entries merged or rows probed
   std::size_t rows_out = 0;         ///< rows in the resulting view
   double seconds = 0;               ///< wall-clock of the restriction
 };

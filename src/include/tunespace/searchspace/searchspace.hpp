@@ -4,26 +4,27 @@
 // Wraps the solver's SolutionSet with the operations optimization algorithms
 // need: O(1) membership / row lookup through an open-addressing row table,
 // true parameter bounds (values that actually occur in valid configurations
-// — unavailable to dynamic approaches), per-parameter inverted indexes in
-// CSR form (posting lists) for neighbour and stratified-sampling queries,
-// and materialized config views.
+// — unavailable to dynamic approaches), and materialized config views.
 //
-// Both indexes are flat arrays so a snapshot (searchspace/io.hpp) can
-// serialize them verbatim and a reload can *borrow* them straight out of
-// the snapshot buffer instead of rebuilding: the `std::span` views point
-// either at the owned `*_store_` vectors (fresh construction) or into the
-// loaded buffer kept alive by `snapshot_buffer_` (zero-copy reload).
+// The row table is a flat array so a snapshot (searchspace/io.hpp) can
+// serialize it verbatim and a reload can *borrow* it straight out of the
+// snapshot buffer instead of rebuilding: the `std::span` view points either
+// at the owned store (fresh construction) or into the loaded buffer kept
+// alive by `snapshot_buffer_` (zero-copy reload).
 //
 // Configurations are addressed by a dense row id in [0, size()).
 //
-// Nearest-valid snapping (sampling.hpp) also reads per-block value ranges:
-// for every 64 consecutive rows and every parameter, the smallest and
-// largest value index.  They are derived data: built from the packed
-// columns on first use, never persisted (a snapshot and its load stay as
-// they are), and their derivation range-checks every code against its
-// domain, so a corrupt column loaded at SnapshotVerify::kShape throws
-// SnapshotError there instead of indexing past a per-value table.
+// Everything else the queries read is one *summary* of the packed columns:
+// for every 64 consecutive rows and every parameter the smallest and largest
+// value index (restriction and nearest-valid snapping skip blocks by them),
+// the number of rows holding each value, and the values that occur at all
+// (the true bounds).  It is derived in a single pass on first use and never
+// persisted, so a snapshot and its load stay as they are.  The derivation
+// range-checks every code against its domain, so a corrupt column loaded at
+// SnapshotVerify::kShape throws SnapshotError there instead of indexing
+// past a per-value table.
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -86,14 +87,14 @@ class SearchSpace {
   std::vector<std::uint32_t> indices(std::size_t row) const {
     return solutions_.index_row(row);
   }
-  /// Materialized values of a configuration.
-  csp::Config config(std::size_t row) const {
-    return solutions_.config(row, problem_);
-  }
-  /// Value of parameter `p` in configuration `row`.
-  const csp::Value& value(std::size_t row, std::size_t p) const {
-    return problem_.domain(p)[solutions_.value_index(row, p)];
-  }
+  /// Materialized values of a configuration.  Throws SnapshotError on a
+  /// packed code outside its domain (see value()).
+  csp::Config config(std::size_t row) const;
+  /// Value of parameter `p` in configuration `row`.  A snapshot loaded at
+  /// SnapshotVerify::kShape borrows the packed columns unchecked, so the
+  /// code is range-checked here, where it becomes a domain position, and a
+  /// code outside the domain throws SnapshotError.
+  const csp::Value& value(std::size_t row, std::size_t p) const;
   std::uint32_t value_index(std::size_t row, std::size_t p) const {
     return solutions_.value_index(row, p);
   }
@@ -111,14 +112,11 @@ class SearchSpace {
   // --- True bounds (§4.4) -----------------------------------------------------
   /// Domain value indices of parameter `p` that occur in at least one valid
   /// configuration, ascending.  These are the "true parameter bounds" that
-  /// enable balanced initial sampling.
+  /// enable balanced initial sampling.  The first call derives the summary
+  /// (thread-safe); later calls are a plain read.
   const std::vector<std::uint32_t>& present_values(std::size_t p) const {
-    return present_values_[p];
+    return summary().present[p];
   }
-
-  /// Rows whose parameter `p` has domain value index `vi` (posting list,
-  /// rows ascending); empty if the value never occurs.
-  std::span<const std::uint32_t> rows_with(std::size_t p, std::uint32_t vi) const;
 
   // --- Stats ------------------------------------------------------------------
   /// Wall-clock seconds spent constructing — pipeline + solve on a fresh
@@ -133,6 +131,7 @@ class SearchSpace {
   SearchSpace() = default;  // the snapshot loader fills the members directly
 
   friend void save_snapshot(const SearchSpace& space, const std::string& path);
+  friend class SubSpace;
   friend std::size_t snap_to_valid(const SubSpace& view,
                                    const std::vector<std::uint32_t>& target);
   friend SearchSpace load_snapshot(const tuner::TuningProblem& spec,
@@ -141,20 +140,32 @@ class SearchSpace {
                                    SnapshotVerify verify);
 
   static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
-  /// Rows per block of the snap ranges.
-  static constexpr std::size_t kBlockRows = 64;
+  /// Rows per block of the summary's code ranges.
+  static constexpr std::size_t kBlockRows = solver::PackedColumn::kBlockRows;
 
   /// Smallest and largest value index of one parameter within one block.
   struct CodeRange {
     std::uint32_t lo, hi;
   };
-  /// The per-block value ranges, `[block * num_params() + p]` for block
-  /// rows [block * kBlockRows, (block + 1) * kBlockRows).  Derived on first
-  /// call (thread-safe); throws SnapshotError on a code outside its domain.
-  const std::vector<CodeRange>& block_ranges() const;
+  /// Derived data read by the queries (see the file comment).
+  struct Summary {
+    /// `[block * num_params() + p]`, for block rows [block * kBlockRows,
+    /// (block + 1) * kBlockRows).
+    std::vector<CodeRange> ranges;
+    /// `[p][vi]`: the number of rows whose parameter p has value index vi.
+    std::vector<std::vector<std::uint32_t>> counts;
+    /// `[p]`: the value indices with a nonzero count, ascending.
+    std::vector<std::vector<std::uint32_t>> present;
+  };
+  /// The summary, derived on first call (thread-safe); throws SnapshotError
+  /// on a code outside its domain.
+  const Summary& summary() const {
+    if (!summary_->ready.load()) derive_summary();
+    return summary_->value;
+  }
+  void derive_summary() const;
 
-  void build_indexes();
-  void derive_present_values();
+  void build_row_table();
   std::uint64_t row_hash(const std::uint32_t* row) const;
   bool row_equals(std::uint32_t row, const std::uint32_t* index_row) const;
 
@@ -169,30 +180,18 @@ class SearchSpace {
   std::vector<std::uint32_t> hash_table_store_;
   std::span<const std::uint32_t> hash_table_;
 
-  // Inverted indexes in CSR form.  For parameter p with offset-array base
-  // posting_base_[p], the posting list of value index vi is
-  //   posting_rows_[posting_offsets_[base + vi] ...
-  //                 posting_offsets_[base + vi + 1])
-  // with offsets global into posting_rows_ (parameter p's region is
-  // [p * size(), (p + 1) * size())).
-  std::vector<std::uint64_t> posting_offsets_store_;
-  std::span<const std::uint64_t> posting_offsets_;
-  std::vector<std::uint32_t> posting_rows_store_;
-  std::span<const std::uint32_t> posting_rows_;
-  std::vector<std::size_t> posting_base_;  // per-parameter offset-array base
-
-  // Derived from the posting offsets (cheap), always owned.
-  std::vector<std::vector<std::uint32_t>> present_values_;
-
   // Keeps a loaded snapshot buffer alive while views borrow from it.
   std::shared_ptr<const void> snapshot_buffer_;
 
-  // Lazily-derived block ranges; boxed so the space stays movable.
-  struct BlockRanges {
+  // The lazily-derived summary; boxed so the space stays movable.  `ready`
+  // turns true once `value` is complete, so a derived summary is read
+  // without entering call_once.
+  struct SummaryBox {
     std::once_flag once;
-    std::vector<CodeRange> ranges;
+    std::atomic<bool> ready{false};
+    Summary value;
   };
-  std::unique_ptr<BlockRanges> block_ranges_ = std::make_unique<BlockRanges>();
+  std::unique_ptr<SummaryBox> summary_ = std::make_unique<SummaryBox>();
 };
 
 }  // namespace tunespace::searchspace

@@ -8,9 +8,11 @@
 // user-pinned parameters.  A SubSpace applies such a restriction (a
 // query::Predicate) without re-solving: the view borrows the parent's
 // packed columns and indexes and only materializes a selection vector of
-// parent row ids, chosen either by *predicate pushdown* (intersecting the
-// parent's CSR posting lists) or by a packed-column scan, whichever the
-// planner estimates cheaper.
+// parent row ids.  The rows are found by one block scan over the packed
+// columns: each 64-row block is first classified by the parent's per-block
+// code ranges (skipped when a conjunct admits none of them, passed whole
+// when every conjunct admits all of them) and only the rest is decoded and
+// tested against each conjunct's allowed values.
 //
 // Views are cheap value types (two pointers; the selection is shared), and
 // refinement chains: `view.restrict(...)` starts from the parent view's row
@@ -51,18 +53,18 @@ class SubSpace {
   /// Filtered view over `parent` (equivalent to a whole-space view
   /// restricted by `pred`).
   static SubSpace filter(const SearchSpace& parent, const query::Predicate& pred,
-                         const query::QueryOptions& options = {},
                          query::QueryStats* stats = nullptr);
   static SubSpace filter(const SearchSpace&&, const query::Predicate&,
-                         const query::QueryOptions& = {},
                          query::QueryStats* = nullptr) = delete;
 
   /// Chained refinement: the restriction is evaluated over *this view's*
-  /// row set, so narrowing an already-filtered view never rescans rows the
-  /// parent predicate excluded.  A trivial predicate returns a view sharing
-  /// this selection outright.
+  /// row set, so narrowing an already-filtered view only visits the blocks
+  /// that hold one of its rows.  A trivial predicate returns a view sharing
+  /// this selection outright.  The first restriction of a space derives the
+  /// parent's summary (searchspace.hpp), so on a snapshot loaded at
+  /// SnapshotVerify::kShape with a code outside its domain it throws
+  /// SnapshotError.
   SubSpace restrict(const query::Predicate& pred,
-                    const query::QueryOptions& options = {},
                     query::QueryStats* stats = nullptr) const;
 
   // --- Shape ----------------------------------------------------------------

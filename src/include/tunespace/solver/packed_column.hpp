@@ -66,9 +66,23 @@ class PackedColumn {
     return static_cast<std::uint32_t>(v & mask_);
   }
 
-  /// Copy entries [begin, begin + count) into `out`, one running bit cursor
-  /// over the words (the bulk form of get()).
+  /// Entries per block: block b is entries [b * kBlockRows, (b + 1) *
+  /// kBlockRows), and a full block of a w-bit column is exactly the words
+  /// [b * w, (b + 1) * w).
+  static constexpr std::size_t kBlockRows = 64;
+
+  /// Copy entries [begin, begin + count) into `out` (the bulk form of
+  /// get()).  When `begin` starts a block, each full block runs an unpack
+  /// specialised by width, with every shift fixed at compile time; the
+  /// remaining entries go through one running bit cursor over the words.
   void decode(std::size_t begin, std::size_t count, std::uint32_t* out) const;
+
+  /// Bit i set when entry b * kBlockRows + i holds a value v with
+  /// allowed[v] == 1.  `allowed` has an entry, 0 or 1, for every value in
+  /// the block, and for both values of a 1-bit column, whose full blocks
+  /// are one word of entries.  Other full blocks run decode()'s unpack and
+  /// test each entry as it comes out; the shorter tail block is decoded.
+  std::uint64_t match_block(std::size_t b, const std::uint8_t* allowed) const;
 
   /// Append one entry; `v` must fit in bits().
   void push_back(std::uint32_t v);

@@ -203,11 +203,10 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'S', 'S', 'N', 'A', 'P', '\0', '\0'};
 constexpr std::uint32_t kEndianTag = 0x01020304u;
-constexpr std::uint32_t kSectionCount = 4;
+constexpr std::uint32_t kSectionCount = 3;
 constexpr std::uint32_t kSectionDomains = 1;
 constexpr std::uint32_t kSectionColumns = 2;
 constexpr std::uint32_t kSectionRowIndex = 3;
-constexpr std::uint32_t kSectionPosting = 4;
 // magic + version + endian + fingerprint + params + sections + rows +
 // stats(5x u64 + 2x u32 + 2x f64) + construction seconds.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4 + 4 + 8 + 64 + 8;
@@ -461,10 +460,10 @@ void save_snapshot(const SearchSpace& space, const std::string& path) {
   const std::size_t n = space.size();
 
   // Sections are assembled as lists of (pointer, size) pieces so the bulk
-  // payloads — packed column words, row table, posting arrays — are
-  // checksummed and written straight from the live space instead of being
-  // copied into staging buffers (which would briefly double the resolved
-  // space's memory footprint).  Only the small headers are staged.
+  // payloads — packed column words and the row table — are checksummed and
+  // written straight from the live space instead of being copied into
+  // staging buffers (which would briefly double the resolved space's memory
+  // footprint).  Only the small headers are staged.
   struct Piece {
     const void* data;
     std::size_t size;
@@ -491,10 +490,6 @@ void save_snapshot(const SearchSpace& space, const std::string& path) {
   Buf rowindex_header;
   rowindex_header.u64(space.hash_table_.size());
 
-  Buf posting_header;
-  posting_header.u64(space.posting_offsets_.size());
-  posting_header.u64(space.posting_rows_.size());
-
   std::vector<Piece> pieces[kSectionCount];
   pieces[kSectionDomains - 1] = {{domains.out.data(), domains.out.size()}};
 
@@ -512,17 +507,6 @@ void save_snapshot(const SearchSpace& space, const std::string& path) {
   if (!space.hash_table_.empty()) {
     rowindex.push_back({space.hash_table_.data(),
                         space.hash_table_.size() * sizeof(std::uint32_t)});
-  }
-
-  auto& posting = pieces[kSectionPosting - 1];
-  posting.push_back({posting_header.out.data(), posting_header.out.size()});
-  if (!space.posting_offsets_.empty()) {
-    posting.push_back({space.posting_offsets_.data(),
-                       space.posting_offsets_.size() * sizeof(std::uint64_t)});
-  }
-  if (!space.posting_rows_.empty()) {
-    posting.push_back({space.posting_rows_.data(),
-                       space.posting_rows_.size() * sizeof(std::uint32_t)});
   }
 
   // Pad every section to the 8-byte alignment the loader requires.
@@ -757,54 +741,6 @@ SearchSpace load_snapshot(const tuner::TuningProblem& spec,
     space.hash_table_ = {slots, static_cast<std::size_t>(table_size)};
   }
 
-  // --- Posting lists: borrowed CSR views, offsets validated.
-  {
-    const Section& sec = sections[kSectionPosting - 1];
-    Reader pr{buffer->data + sec.offset, static_cast<std::size_t>(sec.size)};
-    const std::uint64_t offsets_len = pr.u64();
-    const std::uint64_t rows_len = pr.u64();
-    space.posting_base_.resize(d);
-    std::uint64_t expect_offsets = 0;
-    for (std::size_t p = 0; p < d; ++p) {
-      space.posting_base_[p] = static_cast<std::size_t>(expect_offsets);
-      expect_offsets += space.problem_.domain(p).size() + 1;
-    }
-    if (offsets_len != expect_offsets ||
-        rows_len != static_cast<std::uint64_t>(n) * d) {
-      throw SnapshotError("snapshot posting index shape mismatch: " + path);
-    }
-    if (16 + offsets_len * 8 + rows_len * 4 > sec.size) {
-      throw SnapshotError("snapshot posting section truncated: " + path);
-    }
-    const auto* offsets =
-        reinterpret_cast<const std::uint64_t*>(buffer->data + sec.offset + 16);
-    const auto* rows = reinterpret_cast<const std::uint32_t*>(
-        buffer->data + sec.offset + 16 + offsets_len * 8);
-    for (std::size_t p = 0; p < d; ++p) {
-      const std::size_t base = space.posting_base_[p];
-      const std::size_t m = space.problem_.domain(p).size();
-      if (offsets[base] != static_cast<std::uint64_t>(p) * n ||
-          offsets[base + m] != static_cast<std::uint64_t>(p + 1) * n) {
-        throw SnapshotError("snapshot posting offsets corrupt: " + path);
-      }
-      for (std::size_t vi = 0; vi < m; ++vi) {
-        if (offsets[base + vi] > offsets[base + vi + 1]) {
-          throw SnapshotError("snapshot posting offsets not monotonic: " + path);
-        }
-      }
-    }
-    if (verify == SnapshotVerify::kFull) {
-      for (std::uint64_t i = 0; i < rows_len; ++i) {
-        if (rows[i] >= n) {
-          throw SnapshotError("snapshot posting row out of range: " + path);
-        }
-      }
-    }
-    space.posting_offsets_ = {offsets, static_cast<std::size_t>(offsets_len)};
-    space.posting_rows_ = {rows, static_cast<std::size_t>(rows_len)};
-  }
-
-  space.derive_present_values();
   space.snapshot_buffer_ = buffer;
   space.construction_seconds_ = timer.seconds();
   return space;

@@ -25,6 +25,7 @@ std::size_t snap_to_valid(const SubSpace& view,
   //    the candidates.  (The parent's counts are an upper bound on the
   //    view's, exact for a whole-space view.)
   const SearchSpace& parent = view.parent();
+  const SearchSpace::Summary& summary = parent.summary();
   const std::size_t d = view.num_params();
   std::size_t best_param = 0;
   std::uint32_t best_vi = 0;
@@ -43,7 +44,7 @@ std::size_t snap_to_valid(const SubSpace& view,
       }
       vi = nearest;
     }
-    const std::size_t count = parent.rows_with(p, vi).size();
+    const std::size_t count = summary.counts[p][vi];
     if (p == 0 || count < best_count) {
       best_param = p;
       best_vi = vi;
@@ -73,7 +74,7 @@ std::size_t snap_to_valid(const SubSpace& view,
   // its partial sum does.  Both are exact: adding non-negative doubles
   // never lowers a sum under round-to-nearest, and a later row wins only
   // with a strictly smaller sum.
-  const std::vector<SearchSpace::CodeRange>& ranges = parent.block_ranges();
+  const std::vector<SearchSpace::CodeRange>& ranges = summary.ranges;
   const solver::PackedColumn& column = parent.solutions().column(best_param);
   const std::span<const std::uint32_t> selection = view.selection();
   const std::size_t n = parent.size();

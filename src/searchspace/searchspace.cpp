@@ -25,7 +25,7 @@ SearchSpace::SearchSpace(const tuner::TuningProblem& spec,
   solver::SolveResult result = method.solver->solve(problem_);
   solutions_ = std::move(result.solutions);
   stats_ = result.stats;
-  build_indexes();
+  build_row_table();
   construction_seconds_ = timer.seconds();
 }
 
@@ -42,44 +42,11 @@ namespace {
 /// out by this hash, so it is part of the format.
 constexpr std::uint64_t kRowHashSeed = 0x51A2B3C4D5E6F708ULL;
 
-/// Rows decoded per column per step of the index build; a chunk of values
-/// and of row hashes stays in L1.
+/// Rows decoded per column per step of the row-table build; a chunk of
+/// values and of row hashes stays in L1.
 constexpr std::size_t kChunk = 1024;
-/// Independent counter sets of the posting-list build.
-constexpr std::size_t kLanes = 4;
 /// Rows between a row-table home slot's prefetch and its insertion.
 constexpr std::size_t kPrefetchAhead = 16;
-
-/// Visit every row of `col` as body(lane, value, row).  The rows are split
-/// into kLanes contiguous stripes walked in lock step, so bodies that keep
-/// per-lane state run kLanes independent increment chains: backtracking
-/// emits its leading columns as long runs of one value, where a single
-/// counter makes every increment wait on the one before it.  Within a lane,
-/// rows arrive in ascending order.
-template <typename Body>
-void for_each_striped(const solver::PackedColumn& col, Body&& body) {
-  const std::size_t n = col.size();
-  const std::size_t stripe = (n + kLanes - 1) / kLanes;
-  std::uint32_t values[kLanes][kChunk];
-  for (std::size_t pos = 0; pos < stripe; pos += kChunk) {
-    std::size_t first[kLanes], len[kLanes];
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      first[k] = std::min(n, k * stripe + pos);
-      const std::size_t end = std::min(n, (k + 1) * stripe);
-      len[k] = std::min(kChunk, end - std::min(end, first[k]));
-      col.decode(first[k], len[k], values[k]);
-    }
-    // Stripe lengths never grow with the lane index: all lanes run up to the
-    // last one's length, then the longer ones finish alone.
-    const std::size_t common = len[kLanes - 1];
-    for (std::size_t i = 0; i < common; ++i) {
-      for (std::size_t k = 0; k < kLanes; ++k) body(k, values[k][i], first[k] + i);
-    }
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      for (std::size_t i = common; i < len[k]; ++i) body(k, values[k][i], first[k] + i);
-    }
-  }
-}
 
 }  // namespace
 
@@ -97,57 +64,29 @@ bool SearchSpace::row_equals(std::uint32_t row,
   return true;
 }
 
-void SearchSpace::build_indexes() {
+const csp::Value& SearchSpace::value(std::size_t row, std::size_t p) const {
+  const csp::Domain& domain = problem_.domain(p);
+  const std::uint32_t vi = solutions_.value_index(row, p);
+  if (vi >= domain.size()) throw SnapshotError("packed code outside its domain");
+  return domain[vi];
+}
+
+csp::Config SearchSpace::config(std::size_t row) const {
+  csp::Config out;
+  out.reserve(num_params());
+  for (std::size_t p = 0; p < num_params(); ++p) out.push_back(value(row, p));
+  return out;
+}
+
+void SearchSpace::build_row_table() {
   const std::size_t n = size();
   const std::size_t d = num_params();
   assert(n < kEmptySlot);
 
-  // --- CSR inverted indexes: one global offsets array over all parameters.
-  posting_base_.resize(d);
-  std::size_t total_offsets = 0;
-  for (std::size_t p = 0; p < d; ++p) {
-    posting_base_[p] = total_offsets;
-    total_offsets += problem_.domain(p).size() + 1;
-  }
-  posting_offsets_store_.assign(total_offsets, 0);
-  posting_rows_store_.resize(n * d);
-  std::vector<std::uint64_t> lane_slots;  // kLanes x m counts, then cursors
-  for (std::size_t p = 0; p < d; ++p) {
-    const auto& col = solutions_.column(p);
-    const std::size_t base = posting_base_[p];
-    const std::size_t m = problem_.domain(p).size();
-    lane_slots.assign(kLanes * m, 0);
-    for_each_striped(col, [&](std::size_t lane, std::uint32_t vi, std::size_t) {
-      ++lane_slots[lane * m + vi];
-    });
-    // Prefix-sum the counts into global row positions starting at parameter
-    // p's region base p * n.  Stripes are contiguous and in row order, so
-    // value vi's list holds stripe 0's rows, then stripe 1's, ...: every
-    // lane's cursor starts where the lanes before it end, and each posting
-    // list comes out sorted by row id.
-    std::uint64_t next = static_cast<std::uint64_t>(p) * n;
-    for (std::size_t vi = 0; vi < m; ++vi) {
-      posting_offsets_store_[base + vi] = next;
-      for (std::size_t lane = 0; lane < kLanes; ++lane) {
-        const std::uint64_t count = lane_slots[lane * m + vi];
-        lane_slots[lane * m + vi] = next;
-        next += count;
-      }
-    }
-    posting_offsets_store_[base + m] = next;
-    std::uint32_t* rows = posting_rows_store_.data();
-    for_each_striped(col, [&](std::size_t lane, std::uint32_t vi, std::size_t r) {
-      rows[lane_slots[lane * m + vi]++] = static_cast<std::uint32_t>(r);
-    });
-  }
-  posting_offsets_ = posting_offsets_store_;
-  posting_rows_ = posting_rows_store_;
-  derive_present_values();
-
-  // --- Row-lookup table: rows inserted in ascending order, so the layout is
-  // deterministic.  Each chunk's hashes are folded column by column (the
-  // same mix64 steps in the same order as row_hash), which keeps a chunk of
-  // independent hash chains in flight instead of one chain per row.
+  // Rows are inserted in ascending order, so the layout is deterministic.
+  // Each chunk's hashes are folded column by column (the same mix64 steps in
+  // the same order as row_hash), which keeps a chunk of independent hash
+  // chains in flight instead of one chain per row.
   const std::size_t table_size =
       std::bit_ceil(std::max<std::size_t>(16, n * 2));
   hash_table_store_.assign(table_size, kEmptySlot);
@@ -177,43 +116,44 @@ void SearchSpace::build_indexes() {
   hash_table_ = hash_table_store_;
 }
 
-void SearchSpace::derive_present_values() {
-  const std::size_t d = num_params();
-  present_values_.assign(d, {});
-  for (std::size_t p = 0; p < d; ++p) {
-    const std::size_t base = posting_base_[p];
-    const std::size_t m = problem_.domain(p).size();
-    for (std::uint32_t vi = 0; vi < m; ++vi) {
-      if (posting_offsets_[base + vi + 1] > posting_offsets_[base + vi]) {
-        present_values_[p].push_back(vi);
-      }
-    }
-  }
-}
-
-const std::vector<SearchSpace::CodeRange>& SearchSpace::block_ranges() const {
-  std::call_once(block_ranges_->once, [this] {
+void SearchSpace::derive_summary() const {
+  std::call_once(summary_->once, [this] {
     const std::size_t n = size();
     const std::size_t d = num_params();
     const std::size_t blocks = (n + kBlockRows - 1) / kBlockRows;
-    std::vector<CodeRange> ranges(blocks * d);
-    std::uint32_t values[kBlockRows];
+    Summary summary;
+    summary.ranges.resize(blocks * d);
+    summary.counts.resize(d);
+    summary.present.resize(d);
+    std::uint32_t codes[kBlockRows];
     for (std::size_t p = 0; p < d; ++p) {
       const solver::PackedColumn& col = solutions_.column(p);
-      const std::size_t m = problem_.domain(p).size();
+      std::vector<std::uint32_t>& counts = summary.counts[p];
+      counts.assign(problem_.domain(p).size(), 0);
       for (std::size_t b = 0; b < blocks; ++b) {
         const std::size_t len = std::min(kBlockRows, n - b * kBlockRows);
-        col.decode(b * kBlockRows, len, values);
-        const auto [lo, hi] = std::minmax_element(values, values + len);
+        col.decode(b * kBlockRows, len, codes);
+        const auto [lo, hi] = std::minmax_element(codes, codes + len);
         // A snapshot loaded at SnapshotVerify::kShape borrows the columns
-        // unchecked; snapping indexes per-value tables with these codes.
-        if (*hi >= m) throw SnapshotError("packed code outside its domain");
-        ranges[b * d + p] = {*lo, *hi};
+        // unchecked; every reader of the summary indexes per-value tables
+        // with these codes.
+        if (*hi >= counts.size()) throw SnapshotError("packed code outside its domain");
+        summary.ranges[b * d + p] = {*lo, *hi};
+        // Backtracking emits its leading columns as long runs of one value,
+        // where a block is one count.
+        if (*lo == *hi) {
+          counts[*lo] += static_cast<std::uint32_t>(len);
+        } else {
+          for (std::size_t i = 0; i < len; ++i) ++counts[codes[i]];
+        }
+      }
+      for (std::uint32_t vi = 0; vi < counts.size(); ++vi) {
+        if (counts[vi] > 0) summary.present[p].push_back(vi);
       }
     }
-    block_ranges_->ranges = std::move(ranges);
+    summary_->value = std::move(summary);
+    summary_->ready.store(true);
   });
-  return block_ranges_->ranges;
 }
 
 std::optional<std::size_t> SearchSpace::find(
@@ -245,16 +185,6 @@ std::optional<std::size_t> SearchSpace::find_config(const csp::Config& config) c
     row[p] = static_cast<std::uint32_t>(vi);
   }
   return find(row);
-}
-
-std::span<const std::uint32_t> SearchSpace::rows_with(std::size_t p,
-                                                      std::uint32_t vi) const {
-  if (p >= posting_base_.size() || vi >= problem_.domain(p).size()) return {};
-  const std::size_t base = posting_base_[p];
-  const std::uint64_t begin = posting_offsets_[base + vi];
-  const std::uint64_t end = posting_offsets_[base + vi + 1];
-  return posting_rows_.subspan(static_cast<std::size_t>(begin),
-                               static_cast<std::size_t>(end - begin));
 }
 
 }  // namespace tunespace::searchspace

@@ -1,7 +1,7 @@
 #include "tunespace/searchspace/view.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 #include <stdexcept>
 
 #include "tunespace/searchspace/io.hpp"
@@ -11,83 +11,25 @@ namespace tunespace::searchspace {
 
 namespace {
 
-using query::CompiledPredicate;
-using query::Exec;
-using query::ParamMask;
+/// One conjunct of a restriction, laid out for the block scan: its column,
+/// allowed[v] = 1 for each allowed value index v (one entry per domain
+/// value, else 0) and below[v], the number of allowed values under v, which
+/// counts the allowed values of a block's code range [lo, hi] as
+/// below[hi + 1] - below[lo].
+struct BlockMask {
+  std::size_t param;
+  const solver::PackedColumn* column;
+  std::vector<std::uint8_t> allowed;
+  std::vector<std::uint32_t> below;
+};
 
-/// Per-parameter admissibility bitmap over domain value indices.
-std::vector<std::uint8_t> mask_bitmap(const csp::Problem& problem,
-                                      const ParamMask& mask) {
-  std::vector<std::uint8_t> bits(problem.domain(mask.param).size(), 0);
-  for (std::uint32_t vi : mask.allowed) bits[vi] = 1;
-  return bits;
-}
-
-/// Total length of the posting lists a mask's pushdown union would touch.
-std::size_t posting_total(const SearchSpace& parent, const ParamMask& mask) {
-  std::size_t total = 0;
-  for (std::uint32_t vi : mask.allowed) {
-    total += parent.rows_with(mask.param, vi).size();
-  }
-  return total;
-}
-
-/// Balanced pairwise merge of disjoint sorted posting lists in
-/// [lo, hi) — a merge sort whose leaves are already sorted runs.
-std::vector<std::uint32_t> merge_lists(
-    const std::vector<std::span<const std::uint32_t>>& lists, std::size_t lo,
-    std::size_t hi) {
-  if (hi - lo == 1) return {lists[lo].begin(), lists[lo].end()};
-  const std::size_t mid = lo + (hi - lo) / 2;
-  const std::vector<std::uint32_t> left = merge_lists(lists, lo, mid);
-  const std::vector<std::uint32_t> right = merge_lists(lists, mid, hi);
-  std::vector<std::uint32_t> out;
-  out.reserve(left.size() + right.size());
-  std::merge(left.begin(), left.end(), right.begin(), right.end(),
-             std::back_inserter(out));
+BlockMask block_mask(const SearchSpace& parent, const query::ParamMask& mask) {
+  const std::size_t m = parent.problem().domain(mask.param).size();
+  BlockMask out{mask.param, &parent.solutions().column(mask.param),
+                std::vector<std::uint8_t>(m, 0), std::vector<std::uint32_t>(m + 1, 0)};
+  for (std::uint32_t vi : mask.allowed) out.allowed[vi] = 1;
+  for (std::size_t v = 0; v < m; ++v) out.below[v + 1] = out.below[v] + out.allowed[v];
   return out;
-}
-
-/// Union of the (disjoint, sorted) posting lists selected by `mask`,
-/// ascending by row id.
-std::vector<std::uint32_t> posting_union(const SearchSpace& parent,
-                                         const ParamMask& mask, std::size_t total) {
-  std::vector<std::span<const std::uint32_t>> lists;
-  lists.reserve(mask.allowed.size());
-  for (std::uint32_t vi : mask.allowed) {
-    const auto list = parent.rows_with(mask.param, vi);
-    if (!list.empty()) lists.push_back(list);
-  }
-  if (lists.empty()) return {};
-  std::vector<std::uint32_t> rows = merge_lists(lists, 0, lists.size());
-  assert(rows.size() == total);
-  (void)total;
-  // A snapshot loaded at SnapshotVerify::kShape borrows the posting rows
-  // unchecked; a row id past the end would index the columns out of bounds.
-  std::uint32_t max_row = 0;
-  for (std::uint32_t r : rows) max_row = std::max(max_row, r);
-  if (max_row >= parent.size()) throw SnapshotError("posting row out of range");
-  return rows;
-}
-
-/// Keep only the rows of `rows` whose parameter values pass every bitmap in
-/// `probes` ({param, bitmap} pairs).
-void probe_filter(
-    const SearchSpace& parent, std::vector<std::uint32_t>& rows,
-    const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>>& probes) {
-  if (probes.empty()) return;
-  std::size_t out = 0;
-  for (std::uint32_t r : rows) {
-    bool keep = true;
-    for (const auto& [param, bits] : probes) {
-      if (!bits[parent.value_index(r, param)]) {
-        keep = false;
-        break;
-      }
-    }
-    if (keep) rows[out++] = r;
-  }
-  rows.resize(out);
 }
 
 }  // namespace
@@ -168,22 +110,19 @@ std::vector<csp::Value> SubSpace::project(const std::string& param) const {
 }
 
 SubSpace SubSpace::filter(const SearchSpace& parent, const query::Predicate& pred,
-                          const query::QueryOptions& options,
                           query::QueryStats* stats) {
-  return SubSpace(parent).restrict(pred, options, stats);
+  return SubSpace(parent).restrict(pred, stats);
 }
 
 SubSpace SubSpace::restrict(const query::Predicate& pred,
-                            const query::QueryOptions& options,
                             query::QueryStats* stats) const {
   util::WallTimer timer;
   query::QueryStats st;
   st.candidate_rows = size();
 
-  const CompiledPredicate compiled = query::compile(pred, problem());
+  const query::CompiledPredicate compiled = query::compile(pred, problem());
   if (compiled.trivial()) {
     // Nothing to do: share this view's selection outright (zero-copy chain).
-    st.exec_used = options.exec;
     st.rows_out = size();
     st.seconds = timer.seconds();
     if (stats) *stats = st;
@@ -194,64 +133,68 @@ SubSpace SubSpace::restrict(const query::Predicate& pred,
   auto out = std::make_shared<Selection>();
 
   if (!compiled.unsatisfiable()) {
-    // Plan: seed the row set either from the cheapest posting-list union
-    // (pushdown) or from this view's candidate rows (scan).  Every further
-    // conjunct is a bitmap probe either way, so the choice is driven by the
-    // cheaper seed.
-    std::size_t seed_mask = 0;
-    std::size_t seed_total = 0;
-    for (std::size_t i = 0; i < compiled.masks.size(); ++i) {
-      const std::size_t total = posting_total(parent, compiled.masks[i]);
-      if (i == 0 || total < seed_total) {
-        seed_mask = i;
-        seed_total = total;
-      }
+    // The summary range-checks every code, so a code read below always
+    // indexes inside its mask's `allowed` table.
+    const SearchSpace::Summary& summary = parent.summary();
+    constexpr std::size_t kBlockRows = SearchSpace::kBlockRows;
+    const std::size_t d = num_params();
+    const std::size_t n = parent.size();
+    std::vector<BlockMask> masks;
+    masks.reserve(compiled.masks.size());
+    // No conjunct selects more rows than its values hold.
+    std::size_t bound = size();
+    for (const query::ParamMask& mask : compiled.masks) {
+      masks.push_back(block_mask(parent, mask));
+      std::size_t held = 0;
+      for (std::uint32_t vi : mask.allowed) held += summary.counts[mask.param][vi];
+      bound = std::min(bound, held);
     }
-    Exec exec = options.exec;
-    if (exec == Exec::kAuto) {
-      exec = seed_total < st.candidate_rows ? Exec::kPushdown : Exec::kScan;
-    }
-    st.exec_used = exec;
+    out->rows.reserve(bound);
 
-    std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> probes;
-    if (exec == Exec::kPushdown) {
-      out->rows = posting_union(parent, compiled.masks[seed_mask], seed_total);
-      st.rows_examined = seed_total;
-      if (sel_) {
-        // Chained refinement: stay inside the parent view's row set.
-        std::vector<std::uint32_t> kept;
-        kept.reserve(std::min(out->rows.size(), sel_->rows.size()));
-        std::set_intersection(out->rows.begin(), out->rows.end(),
-                              sel_->rows.begin(), sel_->rows.end(),
-                              std::back_inserter(kept));
-        out->rows = std::move(kept);
+    // `keep` holds the block's candidate rows.  A conjunct that admits none
+    // of the block's code range drops the block, one that admits all of it
+    // passes every row, and only the rest decode the block and test each
+    // row; classifying every conjunct first spares the decode of a block a
+    // later conjunct drops.
+    std::vector<const BlockMask*> partial(masks.size());
+    const auto scan = [&](std::size_t b, std::uint64_t keep) {
+      const SearchSpace::CodeRange* range = &summary.ranges[b * d];
+      std::size_t tests = 0;
+      for (const BlockMask& mask : masks) {
+        const auto [lo, hi] = range[mask.param];
+        const std::uint32_t allowed = mask.below[hi + 1] - mask.below[lo];
+        if (allowed == 0) return;
+        if (allowed != hi - lo + 1) partial[tests++] = &mask;
       }
-      for (std::size_t i = 0; i < compiled.masks.size(); ++i) {
-        if (i == seed_mask) continue;
-        probes.emplace_back(compiled.masks[i].param,
-                            mask_bitmap(problem(), compiled.masks[i]));
+      for (std::size_t t = 0; t < tests && keep != 0; ++t) {
+        keep &= partial[t]->column->match_block(b, partial[t]->allowed.data());
       }
-      st.rows_examined += out->rows.size() * probes.size();
-      probe_filter(parent, out->rows, probes);
-    } else {
-      for (const ParamMask& mask : compiled.masks) {
-        probes.emplace_back(mask.param, mask_bitmap(problem(), mask));
+      const auto first = static_cast<std::uint32_t>(b * kBlockRows);
+      std::vector<std::uint32_t>& selected = out->rows;
+      const std::size_t end = selected.size();
+      selected.resize(end + static_cast<std::size_t>(std::popcount(keep)));
+      for (std::uint32_t* row = selected.data() + end; keep != 0; keep &= keep - 1) {
+        *row++ = first + static_cast<std::uint32_t>(std::countr_zero(keep));
       }
-      if (sel_) {
-        out->rows = sel_->rows;
-      } else {
-        out->rows.resize(parent.size());
-        for (std::size_t r = 0; r < parent.size(); ++r) {
-          out->rows[r] = static_cast<std::uint32_t>(r);
+    };
+    if (sel_) {
+      // Chained refinement: a block's candidates are this view's rows in it.
+      const std::vector<std::uint32_t>& rows = sel_->rows;
+      for (std::size_t i = 0; i < rows.size();) {
+        const std::size_t b = rows[i] / kBlockRows;
+        std::uint64_t keep = 0;
+        for (; i < rows.size() && rows[i] / kBlockRows == b; ++i) {
+          keep |= std::uint64_t{1} << (rows[i] % kBlockRows);
         }
+        scan(b, keep);
       }
-      st.rows_examined = out->rows.size();
-      probe_filter(parent, out->rows, probes);
+    } else {
+      // A whole view's candidates are every row of the block.
+      for (std::size_t b = 0; b * kBlockRows < n; ++b) {
+        const std::size_t len = std::min(kBlockRows, n - b * kBlockRows);
+        scan(b, len == kBlockRows ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1);
+      }
     }
-  } else {
-    // Unsatisfiable mask: the empty view needs no strategy (see the
-    // QueryStats::exec_used contract).
-    st.exec_used = options.exec;
   }
 
   st.rows_out = out->rows.size();

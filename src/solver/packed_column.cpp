@@ -1,9 +1,70 @@
 #include "tunespace/solver/packed_column.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <utility>
 
 namespace tunespace::solver {
+
+namespace {
+
+/// Entry I of the 64 W-bit entries held in words[0, W).
+template <unsigned W, unsigned I>
+inline std::uint32_t block_entry(const std::uint64_t* words) {
+  constexpr unsigned kBit = I * W;
+  constexpr unsigned kWord = kBit / 64;
+  constexpr unsigned kOff = kBit % 64;
+  std::uint64_t v = words[kWord] >> kOff;
+  if constexpr (kOff + W > 64) v |= words[kWord + 1] << (64 - kOff);
+  return static_cast<std::uint32_t>(v & ((std::uint64_t{1} << W) - 1));
+}
+
+/// The entry indices of a full block.
+constexpr std::make_integer_sequence<unsigned, PackedColumn::kBlockRows> kEntries{};
+
+/// Call visit(i, entry i) for each entry I of a full block, unrolled: every
+/// word index and shift is a compile-time constant.
+template <unsigned W, typename Visit, unsigned... I>
+void unpack_block(const std::uint64_t* words, Visit visit,
+                  std::integer_sequence<unsigned, I...> /*entries*/) {
+  (visit(I, block_entry<W, I>(words)), ...);
+}
+
+template <unsigned W>
+void decode_full_block(const std::uint64_t* words, std::uint32_t* out) {
+  unpack_block<W>(words, [out](unsigned i, std::uint32_t v) { out[i] = v; }, kEntries);
+}
+
+template <unsigned W>
+std::uint64_t match_full_block(const std::uint64_t* words, const std::uint8_t* allowed) {
+  if constexpr (W == 1) {
+    // The block's entries are the word's bits.
+    return (words[0] & (0 - std::uint64_t{allowed[1]})) |
+           (~words[0] & (0 - std::uint64_t{allowed[0]}));
+  } else {
+    std::uint64_t match = 0;
+    const auto test = [&](unsigned i, std::uint32_t v) {
+      match |= std::uint64_t{allowed[v]} << i;
+    };
+    unpack_block<W>(words, test, kEntries);
+    return match;
+  }
+}
+
+/// Kernel tables indexed by width - 1, for widths 1..32.
+template <std::size_t... I>
+constexpr auto full_block_decoders(std::index_sequence<I...>) {
+  return std::array{&decode_full_block<static_cast<unsigned>(I + 1)>...};
+}
+template <std::size_t... I>
+constexpr auto full_block_matchers(std::index_sequence<I...>) {
+  return std::array{&match_full_block<static_cast<unsigned>(I + 1)>...};
+}
+constexpr auto kDecodeFullBlock = full_block_decoders(std::make_index_sequence<32>{});
+constexpr auto kMatchFullBlock = full_block_matchers(std::make_index_sequence<32>{});
+
+}  // namespace
 
 unsigned PackedColumn::bits_for_domain(std::size_t domain_size) {
   if (domain_size <= 1) return 0;
@@ -60,6 +121,12 @@ void PackedColumn::decode(std::size_t begin, std::size_t count,
     std::fill_n(out, count, 0u);
     return;
   }
+  if (begin % kBlockRows == 0) {
+    for (; count >= kBlockRows; begin += kBlockRows, count -= kBlockRows) {
+      kDecodeFullBlock[bits_ - 1](data() + begin / kBlockRows * bits_, out);
+      out += kBlockRows;
+    }
+  }
   if (count == 0) return;
   const std::uint64_t bit = static_cast<std::uint64_t>(begin) * bits_;
   const std::uint64_t* w = data() + (bit >> 6);
@@ -81,6 +148,21 @@ void PackedColumn::decode(std::size_t begin, std::size_t count,
     }
     out[i] = static_cast<std::uint32_t>(v & mask_);
   }
+}
+
+std::uint64_t PackedColumn::match_block(std::size_t b,
+                                        const std::uint8_t* allowed) const {
+  if (bits_ != 0 && (b + 1) * kBlockRows <= size_) {
+    return kMatchFullBlock[bits_ - 1](data() + b * bits_, allowed);
+  }
+  const std::size_t first = b * kBlockRows;
+  assert(first < size_);
+  const std::size_t len = std::min(kBlockRows, size_ - first);
+  std::uint32_t values[kBlockRows];
+  decode(first, len, values);
+  std::uint64_t match = 0;
+  for (std::size_t i = 0; i < len; ++i) match |= std::uint64_t{allowed[values[i]]} << i;
+  return match;
 }
 
 void PackedColumn::append_strided(const std::uint32_t* values, std::size_t count,

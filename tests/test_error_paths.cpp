@@ -32,12 +32,12 @@ tuner::TuningProblem tiny_spec() {
   return spec;
 }
 
-// Binary layout constants of snapshot format version 1 (io.cpp): a
-// 112-byte fixed header followed by four 32-byte section-table entries
+// Binary layout constants of snapshot format version 2 (io.cpp): a
+// 112-byte fixed header followed by three 32-byte section-table entries
 // {id u32, reserved u32, offset u64, size u64, checksum u64}.
 constexpr std::size_t kHeaderBytes = 112;
 constexpr std::size_t kSectionEntryBytes = 32;
-constexpr std::size_t kSectionCount = 4;
+constexpr std::size_t kSectionCount = 3;
 
 struct TempSnapshot {
   std::string dir = "test_error_paths_scratch";
@@ -97,17 +97,6 @@ void rewrite_row_table(const TempSnapshot& snap, std::string& data, Rewrite rewr
   std::uint64_t count = 0;
   std::memcpy(&count, data.data() + offset, sizeof count);
   rewrite_u32s(data, offset + 8, count, rewrite);
-}
-
-/// Rewrite the posting rows of a snapshot image (section 4: u64 offset
-/// count, u64 row count, the u64 offsets, then one u32 per row).
-template <typename Rewrite>
-void rewrite_posting_rows(const TempSnapshot& snap, std::string& data,
-                          Rewrite rewrite) {
-  const std::uint64_t offset = snap.table_u64(data, 3, 8);
-  std::uint64_t counts[2];
-  std::memcpy(counts, data.data() + offset, sizeof counts);
-  rewrite_u32s(data, offset + 16 + counts[0] * 8, counts[1], rewrite);
 }
 
 /// Row `row` of `space` as value indices, the key SearchSpace::find takes.
@@ -175,7 +164,7 @@ TEST(SnapshotErrorPaths, MisalignedSectionOffsetRejected) {
 TEST(SnapshotErrorPaths, CorruptSectionIdRejected) {
   TempSnapshot snap;
   std::string corrupt = snap.bytes();
-  corrupt[kHeaderBytes] = 9;  // section ids must be 1..4 in order
+  corrupt[kHeaderBytes] = 9;  // section ids must be 1..3 in order
   snap.write(corrupt);
   EXPECT_THROW(searchspace::load_snapshot(snap.spec, snap.mutant(),
                                           SnapshotVerify::kShape),
@@ -225,9 +214,9 @@ TEST(SnapshotErrorPaths, LoadOrBuildFallsBackToAFreshBuildOnCorruption) {
 }
 
 // --- Row ids a shape-verified snapshot does not check -------------------------
-// SnapshotVerify::kShape borrows the row table and the posting rows without a
-// pass over them (that pass would cost more than the load), so the readers
-// range-check the ids they take from them.
+// SnapshotVerify::kShape borrows the row table without a pass over it (that
+// pass would cost more than the load), so its reader range-checks the ids
+// it takes from it.
 
 TEST(SnapshotErrorPaths, OutOfRangeRowTableSlotsAreRejectedWhereRead) {
   TempSnapshot snap(spaces::dedispersion().spec);
@@ -267,58 +256,57 @@ TEST(SnapshotErrorPaths, RowTableWithoutAnEmptySlotEndsTheProbe) {
   EXPECT_THROW(loaded.find(index_row(loaded, 1)), SnapshotError);
 }
 
-TEST(SnapshotErrorPaths, OutOfRangePostingRowsAreRejectedByPushdown) {
-  TempSnapshot snap(spaces::dedispersion().spec);
-  std::string corrupt = snap.bytes();
-  rewrite_posting_rows(snap, corrupt, [](std::uint32_t) { return 0x7FFFFFF0u; });
-  snap.write(corrupt);
-  EXPECT_THROW(searchspace::load_snapshot(snap.spec, snap.mutant(),
-                                          SnapshotVerify::kFull),
-               SnapshotError);
-
-  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
-                                                 SnapshotVerify::kShape);
-  const auto pred = searchspace::query::eq(loaded.param_name(0), loaded.value(0, 0)) &&
-                    searchspace::query::eq(loaded.param_name(1), loaded.value(0, 1));
-  const searchspace::SubSpace view(loaded);
-  searchspace::query::QueryOptions pushdown;
-  pushdown.exec = searchspace::query::Exec::kPushdown;
-  EXPECT_THROW(view.restrict(pred, pushdown), SnapshotError);
-  // The scan reads no posting row, so it still answers.
-  searchspace::query::QueryOptions scan;
-  scan.exec = searchspace::query::Exec::kScan;
-  const auto scanned = view.restrict(pred, scan);
-  EXPECT_GT(scanned.size(), 0u);
-}
-
 // --- Packed codes a shape-verified snapshot does not check ---------------------
 // kShape borrows the packed columns too.  A code at or above its domain's
 // size is representable whenever the size is not a power of two, so the
-// paths that index per-value tables with codes check them there.
+// paths that turn codes into domain positions or index per-value tables
+// with them check them there.
+
+/// The tiny spec's snapshot with column b's first word set to all ones:
+/// a in {1,2,4,8}, b in {1,2,3}, so b's codes take 2 bits and every one of
+/// them reads 3, one past "3".
+struct OutOfDomainSnapshot : TempSnapshot {
+  OutOfDomainSnapshot() {
+    std::string corrupt = bytes();
+    const std::uint64_t columns = table_u64(corrupt, 1, 8);
+    std::uint64_t a_words = 0;
+    std::memcpy(&a_words, corrupt.data() + columns + 8, sizeof a_words);
+    const std::uint64_t ones = ~std::uint64_t{0};
+    std::memcpy(corrupt.data() + columns + 16 * 2 + a_words * 8, &ones, sizeof ones);
+    write(corrupt);
+  }
+};
 
 TEST(SnapshotErrorPaths, OutOfDomainPackedCodesAreRejectedWhereTheyIndexTables) {
-  TempSnapshot snap;  // a in {1,2,4,8}, b in {1,2,3}: b's codes take 2 bits
-  std::string corrupt = snap.bytes();
-  const std::uint64_t columns = snap.table_u64(corrupt, 1, 8);
-  std::uint64_t a_words = 0;
-  std::memcpy(&a_words, corrupt.data() + columns + 8, sizeof a_words);
-  // Column b's first word, all ones: every code reads 3, one past "3".
-  const std::uint64_t ones = ~std::uint64_t{0};
-  std::memcpy(corrupt.data() + columns + 16 * 2 + a_words * 8, &ones, sizeof ones);
-  snap.write(corrupt);
+  OutOfDomainSnapshot snap;
   EXPECT_THROW(searchspace::load_snapshot(snap.spec, snap.mutant(),
                                           SnapshotVerify::kFull),
                SnapshotError);
 
   const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
                                                  SnapshotVerify::kShape);
-  const searchspace::SubSpace view =
-      searchspace::SubSpace(loaded).restrict(searchspace::query::eq("a", 1));
-  ASSERT_EQ(view.size(), 3u);
-  EXPECT_THROW(view.present_values(1), SnapshotError);
-  // A whole-view snap miss (a = 8, b = 3) derives the block ranges.
+  // Restricting derives the summary, which checks every code: on a whole
+  // view, and on a chained one (restricting an empty view made without
+  // it).
   const searchspace::SubSpace whole(loaded);
+  EXPECT_THROW(whole.restrict(searchspace::query::eq("a", 1)), SnapshotError);
+  const searchspace::SubSpace empty = whole.restrict(searchspace::query::eq("a", 64));
+  ASSERT_TRUE(empty.empty());
+  EXPECT_THROW(empty.restrict(searchspace::query::eq("a", 1)), SnapshotError);
+  EXPECT_THROW(whole.present_values(1), SnapshotError);
+  // A whole-view snap miss (a = 8, b = 3) derives the summary too.
   EXPECT_THROW(searchspace::snap_to_valid(whole, {3, 2}), SnapshotError);
+}
+
+TEST(SnapshotErrorPaths, OutOfDomainPackedCodesAreRejectedWhereTheyBecomeValues) {
+  OutOfDomainSnapshot snap;
+  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
+                                                 SnapshotVerify::kShape);
+  EXPECT_NO_THROW(loaded.value(0, 0));
+  EXPECT_THROW(loaded.value(0, 1), SnapshotError);
+  EXPECT_THROW(loaded.config(0), SnapshotError);
+  std::ostringstream os;
+  EXPECT_THROW(searchspace::write_csv(loaded, os), SnapshotError);
 }
 
 // --- CSV rejection messages --------------------------------------------------
@@ -411,7 +399,7 @@ TEST(EmptyViewBehavior, RestrictingAnEmptyViewStaysEmpty) {
       searchspace::query::eq("a", csp::Value(64)));
   searchspace::query::QueryStats stats;
   const auto narrower =
-      empty.restrict(searchspace::query::eq("b", csp::Value(1)), {}, &stats);
+      empty.restrict(searchspace::query::eq("b", csp::Value(1)), &stats);
   EXPECT_TRUE(narrower.empty());
   EXPECT_EQ(stats.rows_out, 0u);
   EXPECT_EQ(stats.candidate_rows, 0u);

@@ -1,18 +1,21 @@
-// SubSpace views and the restriction predicate algebra: pushdown and scan
-// execution must agree with brute-force filtering row-for-row (over both
-// freshly-built and snapshot-loaded spaces), chained refinements must equal
-// their conjunction, view-aware sampling/neighbour queries must stay inside
-// the view, and optimizers over a view must be deterministic and equivalent
-// to running over a space rebuilt with the restriction as a constraint.
+// SubSpace views and the restriction predicate algebra: restriction must
+// agree with brute-force filtering row-for-row (over freshly-built and
+// snapshot-loaded spaces, the Table 2 spaces and generated specs, whole and
+// chained views), chained refinements must equal their conjunction,
+// view-aware sampling/neighbour queries must stay inside the view, and
+// optimizers over a view must be deterministic and equivalent to running
+// over a space rebuilt with the restriction as a constraint.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "support/spec_gen.hpp"
 #include "tunespace/searchspace/io.hpp"
 #include "tunespace/searchspace/neighbors.hpp"
 #include "tunespace/searchspace/sampling.hpp"
@@ -21,6 +24,7 @@
 #include "tunespace/tuner/kernels.hpp"
 #include "tunespace/tuner/runner.hpp"
 #include "tunespace/tuner/session.hpp"
+#include "tunespace/util/rng.hpp"
 
 using namespace tunespace;
 using searchspace::SearchSpace;
@@ -102,18 +106,13 @@ std::vector<std::string> sorted_config_strings(const SubSpace& view) {
   return out;
 }
 
-/// Both execution strategies, checked against each other and the oracle.
+/// The restriction, checked against the oracle.
 void expect_view_matches_oracle(const SearchSpace& space, const Case& c) {
   const auto expected = oracle_rows(space, c.matches);
-  query::QueryStats push_stats, scan_stats;
-  const SubSpace pushdown =
-      SubSpace::filter(space, c.predicate, {query::Exec::kPushdown}, &push_stats);
-  const SubSpace scan =
-      SubSpace::filter(space, c.predicate, {query::Exec::kScan}, &scan_stats);
-  EXPECT_EQ(view_parent_rows(pushdown), expected) << c.name << " (pushdown)";
-  EXPECT_EQ(view_parent_rows(scan), expected) << c.name << " (scan)";
-  EXPECT_EQ(push_stats.rows_out, expected.size()) << c.name;
-  EXPECT_EQ(scan_stats.rows_out, expected.size()) << c.name;
+  query::QueryStats stats;
+  const SubSpace view = SubSpace::filter(space, c.predicate, &stats);
+  EXPECT_EQ(view_parent_rows(view), expected) << c.name;
+  EXPECT_EQ(stats.rows_out, expected.size()) << c.name;
 }
 
 }  // namespace
@@ -187,12 +186,12 @@ TEST(Predicate, StringBoundsNeverMatchNumbers) {
 // View equivalence properties
 // ---------------------------------------------------------------------------
 
-TEST(SubSpaceEquivalence, PushdownScanAndOracleAgreeOnSmallSpace) {
+TEST(SubSpaceEquivalence, RestrictAndOracleAgreeOnSmallSpace) {
   SearchSpace space(small_spec());
   for (const Case& c : small_cases()) expect_view_matches_oracle(space, c);
 }
 
-TEST(SubSpaceEquivalence, PushdownScanAndOracleAgreeOnGemm) {
+TEST(SubSpaceEquivalence, RestrictAndOracleAgreeOnGemm) {
   auto rw = spaces::gemm();
   SearchSpace space(rw.spec);
   std::vector<Case> cases;
@@ -259,12 +258,6 @@ TEST(SubSpaceEquivalence, ChainedRefinementEqualsConjunction) {
   const SubSpace direct = SubSpace::filter(space, query::all_of({p1, p2, p3}));
   EXPECT_EQ(view_parent_rows(chained), view_parent_rows(direct));
   EXPECT_FALSE(chained.empty());
-
-  // Pushdown-chained and scan-chained agree too.
-  const SubSpace chained_scan = SubSpace::filter(space, p1, {query::Exec::kScan})
-                                    .restrict(p2, {query::Exec::kScan})
-                                    .restrict(p3, {query::Exec::kScan});
-  EXPECT_EQ(view_parent_rows(chained_scan), view_parent_rows(direct));
 }
 
 TEST(SubSpaceEquivalence, TrivialRestrictSharesSelection) {
@@ -284,6 +277,121 @@ TEST(SubSpaceEquivalence, RestrictingToNothingYieldsEmptyView) {
   const SubSpace none = view.restrict(query::eq("x", 5));
   EXPECT_TRUE(none.empty());
   EXPECT_EQ(none.top_rows(10).size(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Restriction against a brute-force filter of the decoded columns
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// A seeded conjunction of 1-3 eq / in_set / between conditions on random
+/// parameters.  Values come from the domains, except an occasional eq on a
+/// value outside them; between bounds come in either order, so some
+/// conjunctions select nothing.
+query::Predicate random_predicate(const csp::Problem& problem, util::Rng& rng) {
+  std::vector<query::Predicate> parts;
+  const std::size_t count = 1 + rng.index(3);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t p = rng.index(problem.num_variables());
+    const csp::Domain& domain = problem.domain(p);
+    const auto value = [&] { return domain[rng.index(domain.size())]; };
+    switch (rng.index(3)) {
+      case 0: {
+        const csp::Value v = rng.chance(0.1) ? csp::Value(-12345) : value();
+        parts.push_back(query::eq(problem.name(p), v));
+        break;
+      }
+      case 1: {
+        std::vector<csp::Value> values;
+        for (std::size_t k = 1 + rng.index(4); k > 0; --k) values.push_back(value());
+        parts.push_back(query::in_set(problem.name(p), std::move(values)));
+        break;
+      }
+      default: {
+        const csp::Value lo = value();
+        const csp::Value hi = value();
+        parts.push_back(query::between(problem.name(p), lo, hi));
+        break;
+      }
+    }
+  }
+  return query::all_of(std::move(parts));
+}
+
+/// The rows among `candidates` whose value indices pass every mask of
+/// `pred`, read entry by entry with PackedColumn::get.
+std::vector<std::size_t> brute_force(const SearchSpace& space,
+                                     const query::Predicate& pred,
+                                     const std::vector<std::size_t>& candidates) {
+  const query::CompiledPredicate compiled = query::compile(pred, space.problem());
+  std::vector<std::size_t> rows;
+  for (std::size_t r : candidates) {
+    bool keep = true;
+    for (const query::ParamMask& mask : compiled.masks) {
+      const std::uint32_t vi = space.solutions().column(mask.param).get(r);
+      keep = keep && std::binary_search(mask.allowed.begin(), mask.allowed.end(), vi);
+    }
+    if (keep) rows.push_back(r);
+  }
+  return rows;
+}
+
+}  // namespace
+
+TEST(RestrictOracle, WholeAndChainedViewsEqualABruteForceFilter) {
+  std::vector<tuner::TuningProblem> specs;
+  for (const auto& rw : spaces::all_realworld()) specs.push_back(rw.spec);
+  // Seeds 100-199 draw wider domains, fixed parameters among them.
+  testsupport::SpecGenOptions wide;
+  wide.min_domain = 1;
+  wide.max_domain = 40;
+  wide.max_cartesian = 50000;
+  const testsupport::SpecGenOptions narrow;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    specs.push_back(testsupport::random_spec(seed, seed < 100 ? narrow : wide));
+  }
+  // Domains past 64 values: 7-bit codes that straddle words.
+  tuner::TuningProblem large("large-domains");
+  std::vector<csp::Value> hundred, seventy;
+  for (int v = 0; v < 100; ++v) hundred.emplace_back(v);
+  for (int v = 0; v < 70; ++v) seventy.emplace_back(3 * v);
+  large.add_param("x", hundred).add_param("y", seventy).add_param("z", {1, 2, 4});
+  large.add_constraint("x + y <= 150");
+  specs.push_back(large);
+
+  std::set<unsigned> widths;
+  std::size_t largest_domain = 0, ragged_spaces = 0, empty_results = 0, chained = 0;
+  util::Rng rng(2024);
+  for (const tuner::TuningProblem& spec : specs) {
+    const SearchSpace space(spec);
+    for (std::size_t p = 0; p < space.num_params(); ++p) {
+      widths.insert(space.solutions().column(p).bits());
+      largest_domain = std::max(largest_domain, space.problem().domain(p).size());
+    }
+    if (space.size() % 64 != 0) ++ragged_spaces;
+    std::vector<std::size_t> all(space.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    for (int i = 0; i < 6; ++i) {
+      const query::Predicate pred = random_predicate(space.problem(), rng);
+      const query::Predicate refine = random_predicate(space.problem(), rng);
+      const std::string what = spec.name() + ": " + query::to_string(pred);
+      const SubSpace view = SubSpace(space).restrict(pred);
+      const std::vector<std::size_t> expected = brute_force(space, pred, all);
+      ASSERT_EQ(view_parent_rows(view), expected) << what;
+      const SubSpace narrower = view.restrict(refine);
+      ASSERT_EQ(view_parent_rows(narrower), brute_force(space, refine, expected))
+          << what << ", then " << query::to_string(refine);
+      if (expected.empty()) ++empty_results;
+      if (!view.empty()) ++chained;
+    }
+  }
+  // The corpus covers the shapes the block scan special-cases.
+  for (unsigned w : {0u, 1u, 2u, 3u, 5u, 6u, 7u}) EXPECT_TRUE(widths.count(w)) << w;
+  EXPECT_GT(largest_domain, 64u);
+  EXPECT_GT(ragged_spaces, 0u);
+  EXPECT_GT(empty_results, 0u);
+  EXPECT_GT(chained, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,15 +5,19 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <latch>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "support/spec_gen.hpp"
 #include "tunespace/searchspace/io.hpp"
+#include "tunespace/searchspace/neighbors.hpp"
 #include "tunespace/searchspace/sampling.hpp"
 #include "tunespace/searchspace/view.hpp"
 #include "tunespace/spaces/realworld.hpp"
@@ -32,8 +36,8 @@ tuner::TuningProblem sample_spec() {
   return spec;
 }
 
-/// snap_to_valid's rule, restated over the decoded columns (no posting
-/// lists, no row table):
+/// snap_to_valid's rule, restated over the decoded columns (no summary, no
+/// row table):
 ///   1. an exact hit returns its own row;
 ///   2. each parameter takes the target value, or its nearest value present
 ///      in the view (ties go to the smaller value);
@@ -291,44 +295,115 @@ TEST(Sampling, SnapTiesGoToTheLowestRowAcrossBlockBoundaries) {
   }
 }
 
+/// What a caller reads through each query that derives something on first
+/// use: the space's summary, and the present values of a restricted view.
+struct FirstUse {
+  std::vector<std::vector<std::uint32_t>> present, shared_present;
+  std::vector<std::uint32_t> restricted;
+  std::vector<std::size_t> snaps_whole, snaps_view, snaps_shared;
+  std::vector<std::vector<std::size_t>> neighbors;
+  bool operator==(const FirstUse&) const = default;
+};
+
+/// Make every query of FirstUse.  The calls on `shared`, a restricted view
+/// made before the call, come first: with an even `first` a snap miss,
+/// which reads the view's present values, leads, otherwise present_values.
+/// The queries on `space` follow, starting with query `first` (0:
+/// present_values, 1: restrict, 2: a snap miss, 3: neighbors_of).
+FirstUse first_use(const SearchSpace& space, const SubSpace& shared,
+                   const query::Predicate& pred,
+                   const std::vector<std::vector<std::uint32_t>>& targets,
+                   std::size_t first) {
+  FirstUse got;
+  const auto shared_snaps = [&] {
+    for (const auto& target : targets) {
+      got.snaps_shared.push_back(snap_to_valid(shared, target));
+    }
+  };
+  const auto shared_present = [&] {
+    for (std::size_t p = 0; p < shared.num_params(); ++p) {
+      got.shared_present.push_back(shared.present_values(p));
+    }
+  };
+  if (first % 2 == 0) {
+    shared_snaps();
+    shared_present();
+  } else {
+    shared_present();
+    shared_snaps();
+  }
+  const SubSpace whole(space);
+  const auto present = [&] {
+    for (std::size_t p = 0; p < space.num_params(); ++p) {
+      got.present.push_back(space.present_values(p));
+    }
+  };
+  std::optional<SubSpace> view;
+  const auto restriction = [&] {
+    view = whole.restrict(pred);
+    got.restricted.assign(view->selection().begin(), view->selection().end());
+  };
+  const auto snap = [&] { got.snaps_whole.push_back(snap_to_valid(whole, targets[0])); };
+  const auto neighbors = [&] {
+    for (std::size_t r = 0; r < space.size(); r += space.size() / 50 + 1) {
+      got.neighbors.push_back(neighbors_of(whole, r));
+    }
+  };
+  const std::function<void()> queries[] = {present, restriction, snap, neighbors};
+  for (std::size_t q = 0; q < 4; ++q) queries[(first + q) % 4]();
+  for (std::size_t i = 1; i < targets.size(); ++i) {
+    got.snaps_whole.push_back(snap_to_valid(whole, targets[i]));
+  }
+  for (const auto& target : targets) {
+    got.snaps_view.push_back(snap_to_valid(*view, target));
+  }
+  return got;
+}
+
 TEST(Sampling, ConcurrentFirstMissesOnAFreshSpaceAgreeWithOneThread) {
-  // Four threads take their first misses at once on a space whose block
-  // ranges (and a view whose present values) nobody has derived yet.
+  // Four threads make the first queries at once on a space whose summary
+  // nobody has derived yet, each starting with a different query, and on
+  // one restricted view whose present values nobody has derived yet: once
+  // on fresh builds, once on snapshots loaded at SnapshotVerify::kShape,
+  // whose columns are borrowed from the file buffer.  Restricting derives
+  // the parent's summary, so the shared view is made over a second space.
   const tuner::TuningProblem spec = spaces::dedispersion().spec;
   const auto pred = query::between("block_size_x", csp::Value(8), csp::Value(512));
   std::vector<std::vector<std::uint32_t>> targets;
-  std::vector<std::size_t> expect_whole, expect_view;
+  FirstUse expect;
   {
     const SearchSpace reference(spec);
-    const SubSpace view = SubSpace(reference).restrict(pred);
     targets = crossover_misses(reference, 100, 11);
-    for (const auto& target : targets) {
-      expect_whole.push_back(snap_to_valid(reference, target));
-      expect_view.push_back(snap_to_valid(view, target));
+    const SubSpace view = SubSpace(reference).restrict(pred);
+    expect = first_use(reference, view, pred, targets, 0);
+  }
+  const std::string dir = "test_sampling_first_use";
+  const std::string path = dir + "/dedispersion.tss";
+  std::filesystem::create_directories(dir);
+  save_snapshot(SearchSpace(spec), path);
+  const SearchSpace fresh(spec), fresh_viewed(spec);
+  const SearchSpace loaded = load_snapshot(spec, path, SnapshotVerify::kShape);
+  const SearchSpace loaded_viewed = load_snapshot(spec, path, SnapshotVerify::kShape);
+  std::filesystem::remove_all(dir);
+  const std::pair<const SearchSpace*, const SearchSpace*> cases[] = {
+      {&fresh, &fresh_viewed}, {&loaded, &loaded_viewed}};
+  for (const auto& [space, viewed] : cases) {
+    const SubSpace shared = SubSpace(*viewed).restrict(pred);
+    constexpr std::size_t kThreads = 4;
+    std::latch start(kThreads);
+    std::vector<FirstUse> got(kThreads);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        got[t] = first_use(*space, shared, pred, targets, t);
+      });
     }
-  }
-  const SearchSpace shared(spec);
-  const SubSpace whole(shared);
-  const SubSpace view = whole.restrict(pred);
-  constexpr std::size_t kThreads = 4;
-  std::latch start(kThreads);
-  std::vector<std::vector<std::size_t>> got_whole(kThreads), got_view(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      start.arrive_and_wait();
-      for (const auto& target : targets) {
-        // Half the threads start on the view, half on the whole space.
-        if (t % 2 == 0) got_whole[t].push_back(snap_to_valid(whole, target));
-        got_view[t].push_back(snap_to_valid(view, target));
-        if (t % 2 == 1) got_whole[t].push_back(snap_to_valid(whole, target));
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(got_whole[t], expect_whole) << "thread " << t;
-    EXPECT_EQ(got_view[t], expect_view) << "thread " << t;
+    for (auto& thread : threads) thread.join();
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      EXPECT_TRUE(got[t] == expect)
+          << (space == &fresh ? "fresh" : "kShape-loaded") << " space, thread " << t;
+    }
   }
 }
 

@@ -85,17 +85,6 @@ TEST(SearchSpaceTest, TrueBounds) {
             (std::vector<std::uint32_t>{1, 2}));
 }
 
-TEST(SearchSpaceTest, PostingListsPartitionRows) {
-  SearchSpace space(block_spec());
-  for (std::size_t p = 0; p < space.num_params(); ++p) {
-    std::size_t total = 0;
-    for (std::uint32_t vi = 0; vi < space.problem().domain(p).size(); ++vi) {
-      total += space.rows_with(p, vi).size();
-    }
-    EXPECT_EQ(total, space.size());
-  }
-}
-
 TEST(SearchSpaceTest, EmptySpace) {
   tuner::TuningProblem spec("empty");
   spec.add_param("x", {1, 2}).add_param("y", {1, 2});

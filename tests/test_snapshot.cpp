@@ -19,6 +19,7 @@
 #include "tunespace/searchspace/neighbors.hpp"
 #include "tunespace/searchspace/sampling.hpp"
 #include "tunespace/searchspace/searchspace.hpp"
+#include "tunespace/searchspace/view.hpp"
 #include "tunespace/spaces/realworld.hpp"
 #include "tunespace/spaces/synthetic.hpp"
 #include "tunespace/util/rng.hpp"
@@ -77,11 +78,13 @@ void expect_identical(const searchspace::SearchSpace& fresh,
   for (std::size_t p = 0; p < fresh.num_params(); ++p) {
     EXPECT_EQ(fresh.solutions().column(p), loaded.solutions().column(p));
     EXPECT_EQ(fresh.present_values(p), loaded.present_values(p));
-    for (std::uint32_t vi = 0; vi < fresh.problem().domain(p).size(); ++vi) {
-      const auto a = fresh.rows_with(p, vi);
-      const auto b = loaded.rows_with(p, vi);
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
+    for (std::uint32_t vi : fresh.present_values(p)) {
+      const csp::Value& value = fresh.problem().domain(p)[vi];
+      const auto pred = searchspace::query::eq(fresh.param_name(p), value);
+      const searchspace::SubSpace a = searchspace::SubSpace(fresh).restrict(pred);
+      const searchspace::SubSpace b = searchspace::SubSpace(loaded).restrict(pred);
+      EXPECT_FALSE(a.empty());
+      EXPECT_TRUE(std::ranges::equal(a.selection(), b.selection()));
     }
   }
 
@@ -142,9 +145,9 @@ solver::PackedColumn borrowed_copy(const solver::PackedColumn& col,
   return solver::PackedColumn::borrowed(col.bits(), col.size(), words->data(), words);
 }
 
-/// The four section checksums of a saved snapshot as space-separated hex
-/// words, read from its section table (format version 1: a 112-byte header,
-/// then four 32-byte entries {id u32, reserved u32, offset u64, size u64,
+/// The three section checksums of a saved snapshot as space-separated hex
+/// words, read from its section table (format version 2: a 112-byte header,
+/// then three 32-byte entries {id u32, reserved u32, offset u64, size u64,
 /// checksum u64}).
 std::string section_checksums(const std::string& file) {
   constexpr std::size_t kHeaderBytes = 112;
@@ -156,7 +159,7 @@ std::string section_checksums(const std::string& file) {
   const std::string bytes = ss.str();
   std::ostringstream text;
   text << std::hex << std::setfill('0');
-  for (std::size_t s = 0; s < 4; ++s) {
+  for (std::size_t s = 0; s < 3; ++s) {
     const std::size_t at = kHeaderBytes + s * kSectionEntryBytes + kChecksumOffset;
     if (bytes.size() < at + sizeof(std::uint64_t)) return "truncated";
     std::uint64_t sum = 0;
@@ -285,6 +288,28 @@ TEST_F(PackedColumnTest, BulkDecodeMatchesGetForEveryWidth) {
       for (std::size_t begin : {1u, 63u, 64u, 65u, 333u}) expect_window(begin, 97);
       // Windows ending on the last entries of the final word.
       for (std::size_t tail = 0; tail <= 70; ++tail) expect_window(size - tail, tail);
+      // Every block on its own: full blocks run the unpack specialised by
+      // width, and 700 entries end in a tail block.
+      constexpr std::size_t kBlock = solver::PackedColumn::kBlockRows;
+      for (std::size_t first = 0; first < size; first += kBlock) {
+        expect_window(first, std::min(kBlock, size - first));
+      }
+      // match_block against a per-entry test of a random allowed table.  The
+      // table needs an entry per value, so past 16 bits the entries are
+      // drawn below 2^16; the unpack's high bits are checked by decode.
+      const unsigned value_bits = std::min(bits, 16u);
+      const auto matched =
+          pushed(bits, random_values(value_bits, size, 77 * bits + size));
+      util::Rng rng(bits + size);
+      std::vector<std::uint8_t> allowed(std::size_t{1} << value_bits);
+      for (auto& a : allowed) a = rng.chance(0.5) ? 1 : 0;
+      for (std::size_t b = 0; b * kBlock < size; ++b) {
+        std::uint64_t expected = 0;
+        for (std::size_t i = 0; i < std::min(kBlock, size - b * kBlock); ++i) {
+          expected |= std::uint64_t{allowed[matched.get(b * kBlock + i)]} << i;
+        }
+        EXPECT_EQ(matched.match_block(b, allowed.data()), expected) << "block " << b;
+      }
     }
   }
 }
@@ -443,22 +468,21 @@ TEST_F(SnapshotTest, SaveOfReloadedSpaceIsByteIdentical) {
 }
 
 TEST_F(SnapshotTest, SectionChecksumsArePinned) {
-  // The columns, row table and posting lists are laid out by the packing
-  // order, the fixed mix64 row hash with ascending-row insertion, and
-  // ascending posting lists.  These checksums (in section order: domains,
-  // columns, row table, postings) were recorded with the row-at-a-time store
-  // and index build; a build path that moves any of them changes snapshot
-  // bytes and needs a kSnapshotFormatVersion bump.  The header's timing
-  // fields lie outside every section.
+  // The columns and the row table are laid out by the packing order and the
+  // fixed mix64 row hash with ascending-row insertion.  These checksums (in
+  // section order: domains, columns, row table) were recorded with the
+  // row-at-a-time store and index build; a build path that moves any of
+  // them changes snapshot bytes and needs a kSnapshotFormatVersion bump.
+  // The header's timing fields lie outside every section.
   const searchspace::SearchSpace gemm(spaces::gemm().spec);
   searchspace::save_snapshot(gemm, path("gemm.tss"));
   EXPECT_EQ(section_checksums(path("gemm.tss")),
-            "0b8af73d7d5c9c68 aafee37b42583d0f efd8dff55104e957 890c246a37503d0f");
+            "0b8af73d7d5c9c68 aafee37b42583d0f efd8dff55104e957");
 
   const searchspace::SearchSpace generated(testsupport::random_spec(60));
   searchspace::save_snapshot(generated, path("spec_gen-60.tss"));
   EXPECT_EQ(section_checksums(path("spec_gen-60.tss")),
-            "e7e1fe799325c3e8 f817ece9a9193dc1 cf33e527f32f0945 b510678cc7f8b43a");
+            "e7e1fe799325c3e8 f817ece9a9193dc1 cf33e527f32f0945");
 }
 
 // ---------------------------------------------------------------------------
@@ -575,6 +599,20 @@ TEST_F(SnapshotTest, LoadOrBuildRebuildsOnCorruptHeader) {
   }
   const auto rebuilt = searchspace::SearchSpace::load_or_build(spec, cache);
   expect_identical(built, rebuilt);
+
+  // A file of an older format version (version 1 also stored posting
+  // lists) is rebuilt too, and the rebuild rewrites the entry.
+  const tuner::Method method = tuner::optimized_method();
+  const std::string entry = searchspace::snapshot_cache_entry(cache, spec, method);
+  {
+    std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
+    const std::uint32_t version = 1;
+    f.seekp(8);  // the format-version field follows the magic
+    f.write(reinterpret_cast<const char*>(&version), sizeof version);
+  }
+  EXPECT_THROW(searchspace::load_snapshot(spec, entry), searchspace::SnapshotError);
+  expect_identical(built, searchspace::SearchSpace::load_or_build(spec, cache));
+  EXPECT_NO_THROW(searchspace::load_snapshot(spec, entry));
 }
 
 TEST_F(SnapshotTest, LoadOrBuildRefusesLambdaSpecs) {
