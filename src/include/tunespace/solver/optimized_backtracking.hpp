@@ -12,8 +12,21 @@
 //     at every earlier scope variable (§4.3.1/§4.3.2);
 //   * the search loop is iterative (explicit position/value counters), not
 //     recursive (§4.3.1);
+//   * the unconstrained suffix of the search order (variables no constraint
+//     reads, which the sort puts last) is emitted as a product without
+//     search; single-valued variables are written once, not per row;
+//   * when the constrained variables split into two or more independent
+//     components (union-find over constraint scopes, as chain-of-trees
+//     groups them), each component is searched once and a product walk
+//     emits the rows;
 //   * solutions are emitted straight into the column-major SolutionSet with
 //     original-domain indices, avoiding output rearrangement (§4.3.4).
+//
+// The two product steps change neither the rows nor their order, which
+// stay lexicographic in the search order.  The suffix is charged the nodes
+// its search would have cost, so every SolveStats counter is unchanged on a
+// space with at most one constrained component; with two or more, nodes
+// and checks fall because no component is searched twice.
 //
 // The class also exposes a resumable iterator used by the blocking-clause
 // enumerator and by tests.

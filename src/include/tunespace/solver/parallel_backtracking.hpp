@@ -9,6 +9,12 @@
 // it.  Workers take tasks one at a time from a shared cursor, so a worker
 // that draws a large subtree never holds back the remaining ones.
 //
+// The engine uses the sequential solver's factorization: a space whose
+// constrained variables split into two or more components has each
+// component searched once, up front, and the tasks split the product walk
+// over their solutions instead of the search tree; a task whose prefix
+// reaches the unconstrained suffix emits its product without search.
+//
 // Every worker appends solutions into its own sharded SolutionSet (no shared
 // append lock) and records one (prefix-rank, begin, count) segment per task;
 // segments are merged by rank afterwards, so the output is byte-identical to

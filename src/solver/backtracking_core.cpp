@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <numeric>
 
+#include "tunespace/solver/chain_of_trees.hpp"
+
 namespace tunespace::solver::detail {
 
 using csp::Constraint;
@@ -101,9 +103,10 @@ SearchPlan build_plan(csp::Problem& problem, const OptimizedOptions& options,
     }
   }
 
-  // Constraint dispatch tables: full check where the scope completes,
-  // partial checks at every earlier scope position (§4.3.1/§4.3.2).
-  // Each table is partitioned into an int64 fast tier and a boxed tier.
+  // Constraint dispatch tables: full check at the scope variable that comes
+  // last in the search order, partial checks at every other scope variable
+  // (§4.3.1/§4.3.2).  Each table is partitioned into an int64 fast tier and
+  // a boxed tier.
   plan.full_at.resize(n);
   plan.partial_at.resize(n);
   plan.full_fast_at.resize(n);
@@ -126,80 +129,88 @@ SearchPlan build_plan(csp::Problem& problem, const OptimizedOptions& options,
     if (!fast) {
       for (std::uint32_t idx : c->indices()) plan.var_needs_boxed[idx] = 1;
     }
-    std::size_t last = 0;
+    std::size_t last = c->indices()[0];
     for (std::uint32_t idx : c->indices()) {
-      last = std::max(last, plan.pos_of[idx]);
+      if (plan.pos_of[idx] > plan.pos_of[last]) last = idx;
     }
     (fast ? plan.full_fast_at : plan.full_at)[last].push_back(c.get());
     if (options.partial_checks && c->prunes_partial()) {
       for (std::uint32_t idx : c->indices()) {
-        if (plan.pos_of[idx] != last) {
-          (fast ? plan.partial_fast_at
-                : plan.partial_at)[plan.pos_of[idx]].push_back(c.get());
+        if (idx != last) {
+          (fast ? plan.partial_fast_at : plan.partial_at)[idx].push_back(c.get());
         }
       }
     }
   }
 
-  // Block tier: positions whose variable has an int mirror and at least one
-  // specialized constraint sweep whole lane groups of candidates per
-  // dispatch.  TUNESPACE_BLOCK_EVAL=0 forces the scalar path at runtime
-  // (CI's differential legs and ablation-style experiments use this).
+  // Block tier: variables with an int mirror and at least one specialized
+  // constraint sweep whole lane groups of candidates per dispatch.
+  // TUNESPACE_BLOCK_EVAL=0 forces the scalar path at runtime (CI's
+  // differential legs and ablation-style experiments use this).
   const char* block_env = std::getenv("TUNESPACE_BLOCK_EVAL");
   const bool block_enabled =
       options.int_fast_path && options.block_eval &&
       !(block_env && block_env[0] == '0' && block_env[1] == '\0');
   plan.block_at.assign(n, 0);
   if (block_enabled) {
-    for (std::size_t p = 0; p < n; ++p) {
-      const std::size_t var = plan.order[p];
-      plan.block_at[p] =
-          plan.var_is_int[var] && (!plan.full_fast_at[p].empty() ||
-                                   !plan.partial_fast_at[p].empty());
+    for (std::size_t v = 0; v < n; ++v) {
+      plan.block_at[v] = plan.var_is_int[v] && (!plan.full_fast_at[v].empty() ||
+                                                !plan.partial_fast_at[v].empty());
     }
+  }
+
+  // Factorization: the unconstrained suffix of the order, then the
+  // components before it (ChainOfTrees' interdependence groups), kept only
+  // when two or more of them are constrained.
+  std::vector<unsigned char> constrained(n, 0);
+  for (const auto& c : problem.constraints()) {
+    for (std::uint32_t idx : c->indices()) constrained[idx] = 1;
+  }
+  plan.suffix_begin = n;
+  while (plan.suffix_begin > 0 && !constrained[plan.order[plan.suffix_begin - 1]]) {
+    --plan.suffix_begin;
+  }
+  std::vector<std::vector<std::size_t>> groups =
+      ChainOfTrees::interdependence_groups(problem);
+  // A group of two or more variables is constrained throughout; a single
+  // variable is constrained when some constraint reads it alone.
+  const auto constrained_groups = std::count_if(
+      groups.begin(), groups.end(),
+      [&](const std::vector<std::size_t>& g) { return constrained[g[0]] != 0; });
+  if (constrained_groups >= 2) {
+    const auto by_position = [&](std::size_t a, std::size_t b) {
+      return plan.pos_of[a] < plan.pos_of[b];
+    };
+    for (std::vector<std::size_t>& g : groups) {
+      if (plan.pos_of[g[0]] >= plan.suffix_begin) continue;
+      std::sort(g.begin(), g.end(), by_position);
+      plan.components.push_back(std::move(g));
+    }
+    std::sort(plan.components.begin(), plan.components.end(),
+              [&](const auto& a, const auto& b) { return by_position(a[0], b[0]); });
   }
   return plan;
 }
 
-BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, std::size_t first_lo,
-                                       std::size_t first_hi, std::size_t emit_depth)
-    : plan_(&plan), first_lo_(first_lo), first_hi_(first_hi) {
-  const std::size_t n = plan.order.size();
-  emit_depth_ = std::min(emit_depth, n);
-  values_.resize(n);
-  int_values_.assign(n, 0);
-  assigned_.assign(n, 0);
-  value_idx_.assign(n, 0);
-  row_.resize(n);
-  chunk_begin_.assign(n, kNoChunk);
-  chunk_mask_.assign(n * kBlockLanes, 0);
-  if (n == 0 || plan.unsatisfiable || first_lo_ >= first_hi_ || emit_depth_ == 0) {
-    exhausted_ = true;
-  } else {
-    value_idx_[0] = first_lo_;
-  }
+BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan,
+                                       const std::vector<std::size_t>& order,
+                                       std::size_t emit_depth)
+    : plan_(&plan), order_(&order) {
+  init_state(emit_depth);
+  if (order.empty() || plan.unsatisfiable || emit_depth_ == 0) exhausted_ = true;
 }
 
-BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, PrefixSeed seed)
-    : plan_(&plan), base_(seed.length) {
-  const std::uint32_t* prefix = seed.values;
-  const std::size_t prefix_len = seed.length;
-  const std::size_t n = plan.order.size();
-  emit_depth_ = n;
-  values_.resize(n);
-  int_values_.assign(n, 0);
-  assigned_.assign(n, 0);
-  value_idx_.assign(n, 0);
-  row_.resize(n);
-  chunk_begin_.assign(n, kNoChunk);
-  chunk_mask_.assign(n * kBlockLanes, 0);
-  if (n == 0 || plan.unsatisfiable || prefix_len >= n) {
+BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, PrefixSeed seed,
+                                       std::size_t emit_depth)
+    : plan_(&plan), order_(&plan.order), base_(seed.length) {
+  init_state(emit_depth);
+  if (plan.order.empty() || plan.unsatisfiable || base_ >= emit_depth_) {
     exhausted_ = true;
     return;
   }
-  for (std::size_t q = 0; q < prefix_len; ++q) {
+  for (std::size_t q = 0; q < base_; ++q) {
     const std::size_t var = plan.order[q];
-    const std::uint32_t vi = prefix[q];
+    const std::uint32_t vi = seed.values[q];
     if (plan.var_is_int[var]) int_values_[var] = plan.int_values[var][vi];
     if (plan.var_needs_boxed[var]) values_[var] = plan.domains[var][vi];
     assigned_[var] = 1;
@@ -207,19 +218,41 @@ BacktrackingEngine::BacktrackingEngine(const SearchPlan& plan, PrefixSeed seed)
     value_idx_[q] = vi + 1;  // keep the chosen_index invariant for seeds too
   }
   p_ = base_;
-  first_lo_ = 0;
-  first_hi_ = plan.domains[plan.order[base_]].size();
+}
+
+void BacktrackingEngine::init_state(std::size_t emit_depth) {
+  const std::size_t vars = plan_->order.size();
+  const std::size_t levels = order_->size();
+  emit_depth_ = std::min(emit_depth, levels);
+  values_.resize(vars);
+  int_values_.assign(vars, 0);
+  assigned_.assign(vars, 0);
+  row_.resize(vars);
+  value_idx_.assign(levels, 0);
+  chunk_begin_.assign(levels, kNoChunk);
+  chunk_mask_.assign(levels * kBlockLanes, 0);
+}
+
+void BacktrackingEngine::add_effort(SolveStats& stats) const {
+  stats.nodes += nodes_;
+  stats.constraint_checks += checks_;
+  stats.fast_checks += fast_checks_;
+  stats.prunes += prunes_;
+  stats.block_checks += block_checks_;
+  stats.block_lanes += block_lanes_;
 }
 
 bool BacktrackingEngine::next() {
   if (exhausted_) return false;
   const SearchPlan& plan = *plan_;
 
+  const std::vector<std::size_t>& order = *order_;
+
   while (true) {
-    const std::size_t var = plan.order[p_];
+    const std::size_t var = order[p_];
     const Domain& dom = plan.domains[var];
-    const std::size_t limit = p_ == base_ ? first_hi_ : dom.size();
-    const bool blocked = plan.block_at[p_] != 0;
+    const std::size_t limit = dom.size();
+    const bool blocked = plan.block_at[var] != 0;
     bool descended = false;
     while (value_idx_[p_] < limit) {
       const std::size_t vi = value_idx_[p_]++;
@@ -248,7 +281,7 @@ bool BacktrackingEngine::next() {
         // Boxed Values are only materialized for variables the boxed tier
         // actually reads; all-integer problems skip this copy entirely.
         if (plan.var_needs_boxed[var]) values_[var] = dom[vi];
-        for (const Constraint* c : plan.full_fast_at[p_]) {
+        for (const Constraint* c : plan.full_fast_at[var]) {
           ++checks_;
           ++fast_checks_;
           if (!c->satisfied_fast(int_values_.data())) {
@@ -257,7 +290,7 @@ bool BacktrackingEngine::next() {
           }
         }
         if (ok) {
-          for (const Constraint* c : plan.full_at[p_]) {
+          for (const Constraint* c : plan.full_at[var]) {
             ++checks_;
             if (!c->satisfied(values_.data())) {
               ok = false;
@@ -266,7 +299,7 @@ bool BacktrackingEngine::next() {
           }
         }
         if (ok) {
-          for (const Constraint* c : plan.partial_fast_at[p_]) {
+          for (const Constraint* c : plan.partial_fast_at[var]) {
             ++checks_;
             ++fast_checks_;
             if (!c->consistent_fast(int_values_.data(), assigned_.data())) {
@@ -277,7 +310,7 @@ bool BacktrackingEngine::next() {
           }
         }
         if (ok) {
-          for (const Constraint* c : plan.partial_at[p_]) {
+          for (const Constraint* c : plan.partial_at[var]) {
             ++checks_;
             if (!c->consistent(values_.data(), assigned_.data())) {
               ok = false;
@@ -309,14 +342,14 @@ bool BacktrackingEngine::next() {
       return false;
     }
     --p_;
-    assigned_[plan.order[p_]] = 0;
+    assigned_[order[p_]] = 0;
   }
 }
 
 void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
                                        std::size_t limit) {
   const SearchPlan& plan = *plan_;
-  const std::size_t var = plan.order[p];
+  const std::size_t var = (*order_)[p];
   const std::size_t m = std::min(kBlockLanes, limit - vi0);
   unsigned char* mask = &chunk_mask_[p * kBlockLanes];
   for (std::size_t i = 0; i < kBlockLanes; ++i) mask[i] = i < m ? 1 : 0;
@@ -333,7 +366,7 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
   // a lane is charged one check per constraint it is still alive for, full
   // tiers run before partial tiers, and a lane killed by a constraint is
   // never charged for the ones after it.
-  for (const Constraint* c : plan.full_fast_at[p]) {
+  for (const Constraint* c : plan.full_fast_at[var]) {
     const std::uint64_t a = alive();
     if (a == 0) return;
     checks_ += a;
@@ -343,11 +376,11 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
     c->satisfied_block(int_values_.data(), static_cast<std::uint32_t>(var),
                        cand, m, mask);
   }
-  if (!plan.full_at[p].empty()) {
+  if (!plan.full_at[var].empty()) {
     for (std::size_t i = 0; i < m; ++i) {
       if (!mask[i]) continue;
       values_[var] = plan.domains[var][vi0 + i];
-      for (const Constraint* c : plan.full_at[p]) {
+      for (const Constraint* c : plan.full_at[var]) {
         ++checks_;
         if (!c->satisfied(values_.data())) {
           mask[i] = 0;
@@ -356,7 +389,7 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
       }
     }
   }
-  for (const Constraint* c : plan.partial_fast_at[p]) {
+  for (const Constraint* c : plan.partial_fast_at[var]) {
     const std::uint64_t before = alive();
     if (before == 0) return;
     checks_ += before;
@@ -367,11 +400,11 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
                         static_cast<std::uint32_t>(var), cand, m, mask);
     prunes_ += before - alive();
   }
-  if (!plan.partial_at[p].empty()) {
+  if (!plan.partial_at[var].empty()) {
     for (std::size_t i = 0; i < m; ++i) {
       if (!mask[i]) continue;
       values_[var] = plan.domains[var][vi0 + i];
-      for (const Constraint* c : plan.partial_at[p]) {
+      for (const Constraint* c : plan.partial_at[var]) {
         ++checks_;
         if (!c->consistent(values_.data(), assigned_.data())) {
           mask[i] = 0;
@@ -381,6 +414,165 @@ void BacktrackingEngine::compute_chunk(std::size_t p, std::size_t vi0,
       }
     }
   }
+}
+
+SuffixProduct::SuffixProduct(const SearchPlan& plan, std::size_t from,
+                             std::size_t to)
+    : plan_(&plan), from_(from), to_(to) {
+  for (std::size_t p = to; p-- > from;) {
+    nodes_ = plan.domains[plan.order[p]].size() * (1 + nodes_);
+  }
+  for (std::size_t p = from; p < to; ++p) {
+    const std::size_t var = plan.order[p];
+    const std::vector<std::uint32_t>& values = plan.orig_index[var];
+    if (values.size() < 2) continue;
+    vars_.push_back(var);
+    values_.push_back(values.data());
+    sizes_.push_back(static_cast<std::uint32_t>(values.size()));
+  }
+  idx_.assign(vars_.size(), 0);
+}
+
+void SuffixProduct::start(std::uint32_t* row) const {
+  for (std::size_t p = from_; p < to_; ++p) {
+    const std::size_t var = plan_->order[p];
+    row[var] = plan_->orig_index[var][0];
+  }
+}
+
+bool search_components(const SearchPlan& plan, std::vector<ComponentRows>& rows,
+                       SolveStats& stats) {
+  rows.assign(plan.components.size(), ComponentRows{});
+  for (std::size_t c = 0; c < plan.components.size(); ++c) {
+    const std::vector<std::size_t>& vars = plan.components[c];
+    const std::size_t levels = vars.size();
+    std::vector<std::vector<std::uint32_t>>& values = rows[c].values;
+    values.resize(levels);
+    BacktrackingEngine engine(plan, vars);
+    while (engine.next()) {
+      for (std::size_t l = 0; l < levels; ++l) {
+        values[l].push_back(engine.chosen_index(l));
+      }
+    }
+    engine.add_effort(stats);
+    const std::size_t count = rows[c].size();
+    if (count == 0) return false;
+
+    // Runs are compared on pruned value indices, so two values that map to
+    // one original index stay two rows, as in the search; the values are
+    // mapped to original indices afterwards.
+    std::vector<std::vector<std::uint32_t>>& run_end = rows[c].run_end;
+    run_end.assign(levels, std::vector<std::uint32_t>(count));
+    for (std::size_t i = count; i-- > 0;) {
+      std::size_t diff = 0;  // first level where rows i and i + 1 differ
+      if (i + 1 < count) {
+        while (diff < levels && values[diff][i] == values[diff][i + 1]) ++diff;
+      }
+      for (std::size_t l = 0; l < levels; ++l) {
+        run_end[l][i] = l < diff ? run_end[l][i + 1] : static_cast<std::uint32_t>(i + 1);
+      }
+    }
+    for (std::size_t l = 0; l < levels; ++l) {
+      for (std::uint32_t& v : values[l]) v = plan.orig_index[vars[l]][v];
+    }
+  }
+  return true;
+}
+
+ComponentWalk::ComponentWalk(const SearchPlan& plan,
+                             const std::vector<ComponentRows>& rows)
+    : levels_(plan.suffix_begin),
+      cur_(plan.suffix_begin, 0),
+      lim_(plan.suffix_begin, 0) {
+  for (std::size_t c = 0; c < plan.components.size(); ++c) {
+    const std::vector<std::size_t>& vars = plan.components[c];
+    for (std::size_t l = 0; l < vars.size(); ++l) {
+      levels_[plan.pos_of[vars[l]]] =
+          Level{rows[c].values[l].data(), rows[c].run_end[l].data(),
+                static_cast<std::uint32_t>(rows[c].size()), vars[l],
+                l == 0 ? kNone : plan.pos_of[vars[l - 1]]};
+    }
+  }
+}
+
+void ComponentWalk::seed(const std::uint32_t* cursors, std::size_t length,
+                         std::uint32_t* row) {
+  for (std::size_t q = 0; q < length; ++q) {
+    cur_[q] = cursors[q];
+    row[levels_[q].var] = levels_[q].values[cur_[q]];
+  }
+}
+
+void enumerate(const SearchPlan& plan, const std::vector<ComponentRows>& components,
+               BacktrackingEngine::PrefixSeed prefix, RowBlock& out,
+               SolveStats& stats) {
+  const std::size_t n = plan.order.size();
+  const std::size_t t = plan.suffix_begin;
+  if (prefix.length >= t) {
+    // Nothing constrained below the prefix: its rows are one product.
+    std::vector<std::uint32_t> row(n);
+    for (std::size_t q = 0; q < prefix.length; ++q) {
+      row[plan.order[q]] = prefix.values[q];
+    }
+    SuffixProduct below(plan, prefix.length, n);
+    below.start(row.data());
+    below.for_each(row.data(), [&] { out.push(row.data()); });
+    stats.nodes += below.nodes();
+    return;
+  }
+  SuffixProduct suffix(plan, t, n);
+  const auto emit = [&](std::uint32_t* row) {
+    suffix.for_each(row, [&] { out.push(row); });
+    stats.nodes += suffix.nodes();
+  };
+  if (!plan.components.empty()) {
+    std::vector<std::uint32_t> row(n);
+    suffix.start(row.data());
+    ComponentWalk walk(plan, components);
+    walk.seed(prefix.values, prefix.length, row.data());
+    walk.run(prefix.length, t, row.data(), [&] { emit(row.data()); });
+    return;
+  }
+  BacktrackingEngine engine(plan, prefix, t);
+  std::uint32_t* row = engine.row().data();
+  suffix.start(row);
+  while (engine.next()) emit(row);
+  engine.add_effort(stats);
+}
+
+void expand_prefixes(const SearchPlan& plan,
+                     const std::vector<ComponentRows>& components, std::size_t depth,
+                     std::vector<std::uint32_t>& prefixes, SolveStats& stats) {
+  const std::size_t t = plan.suffix_begin;
+  if (plan.components.empty()) {
+    BacktrackingEngine expander(plan, plan.order, depth);
+    while (expander.next()) {
+      for (std::size_t q = 0; q < depth; ++q) {
+        prefixes.push_back(depth >= t ? expander.row()[plan.order[q]]
+                                      : expander.chosen_index(q));
+      }
+    }
+    expander.add_effort(stats);
+    return;
+  }
+  std::vector<std::uint32_t> row(plan.order.size());
+  ComponentWalk walk(plan, components);
+  if (depth < t) {
+    walk.run(0, depth, row.data(), [&] {
+      for (std::size_t q = 0; q < depth; ++q) prefixes.push_back(walk.cursor(q));
+    });
+    return;
+  }
+  // Split inside the suffix: every walk row fans out over positions
+  // [t, depth), charged as the search visits them.
+  SuffixProduct above(plan, t, depth);
+  above.start(row.data());
+  walk.run(0, t, row.data(), [&] {
+    above.for_each(row.data(), [&] {
+      for (std::size_t q = 0; q < depth; ++q) prefixes.push_back(row[plan.order[q]]);
+    });
+    stats.nodes += above.nodes();
+  });
 }
 
 }  // namespace tunespace::solver::detail

@@ -17,16 +17,12 @@ SolveResult OptimizedBacktracking::solve(csp::Problem& problem) const {
   if (plan.unsatisfiable) return result;
 
   timer.reset();
-  detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
-  RowBlock block(result.solutions);
-  while (engine.next()) block.push(engine.row().data());
-  block.flush();
-  result.stats.nodes = engine.nodes();
-  result.stats.constraint_checks = engine.constraint_checks();
-  result.stats.fast_checks = engine.fast_checks();
-  result.stats.prunes += engine.prunes();  // += : preprocessing counted some
-  result.stats.block_checks = engine.block_checks();
-  result.stats.block_lanes = engine.block_lanes();
+  std::vector<detail::ComponentRows> components;
+  if (detail::search_components(plan, components, result.stats)) {
+    RowBlock block(result.solutions);
+    detail::enumerate(plan, components, {}, block, result.stats);
+    block.flush();
+  }
   result.stats.search_seconds = timer.seconds();
   return result;
 }

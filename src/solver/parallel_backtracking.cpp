@@ -38,6 +38,16 @@ std::size_t initial_prefix_depth(const detail::SearchPlan& plan,
   return std::clamp<std::size_t>(depth, 1, n - 1);
 }
 
+/// Add one run's effort counters to another's.
+void add_effort(SolveStats& into, const SolveStats& from) {
+  into.nodes += from.nodes;
+  into.constraint_checks += from.constraint_checks;
+  into.fast_checks += from.fast_checks;
+  into.prunes += from.prunes;
+  into.block_checks += from.block_checks;
+  into.block_lanes += from.block_lanes;
+}
+
 }  // namespace
 
 SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
@@ -54,18 +64,19 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   timer.reset();
   const std::size_t workers = parallel_.resolve_threads();
 
+  // A multi-component plan searches each component once, here, and the
+  // tasks below split the walk over their product instead of the search.
+  std::vector<detail::ComponentRows> components;
+  if (!detail::search_components(plan, components, result.stats)) {
+    result.stats.search_seconds = timer.seconds();
+    return result;
+  }
+
   if (n == 1) {
     // No prefix to split on: a single-variable search is one flat scan.
-    detail::BacktrackingEngine engine(plan, 0, plan.domains[plan.order[0]].size());
     RowBlock block(result.solutions);
-    while (engine.next()) block.push(engine.row().data());
+    detail::enumerate(plan, components, {}, block, result.stats);
     block.flush();
-    result.stats.nodes = engine.nodes();
-    result.stats.constraint_checks = engine.constraint_checks();
-    result.stats.fast_checks = engine.fast_checks();
-    result.stats.prunes += engine.prunes();
-    result.stats.block_checks = engine.block_checks();
-    result.stats.block_lanes = engine.block_lanes();
     result.stats.parallel_tasks = 1;
     result.stats.parallel_workers = 1;
     result.stats.search_seconds = timer.seconds();
@@ -85,25 +96,15 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   std::vector<std::uint32_t> prefixes;  // depth entries per task, rank order
   for (;;) {
     prefixes.clear();
-    detail::BacktrackingEngine expander(
-        plan, 0, plan.domains[plan.order[0]].size(), depth);
-    while (expander.next()) {
-      for (std::size_t q = 0; q < depth; ++q) {
-        prefixes.push_back(expander.chosen_index(q));
-      }
-    }
+    SolveStats expansion;
+    detail::expand_prefixes(plan, components, depth, prefixes, expansion);
     const std::size_t tasks = prefixes.size() / depth;
     if (depth + 1 < n && tasks > 0 && tasks < task_target &&
         tasks < kMaxAutoCandidates) {
       ++depth;
       continue;
     }
-    result.stats.nodes += expander.nodes();
-    result.stats.constraint_checks += expander.constraint_checks();
-    result.stats.fast_checks += expander.fast_checks();
-    result.stats.prunes += expander.prunes();
-    result.stats.block_checks += expander.block_checks();
-    result.stats.block_lanes += expander.block_lanes();
+    add_effort(result.stats, expansion);
     break;
   }
   const std::size_t num_tasks = prefixes.size() / depth;
@@ -126,8 +127,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   struct WorkerShard {
     SolutionSet solutions;
     std::vector<Segment> segments;
-    std::uint64_t nodes = 0, checks = 0, fast_checks = 0, prunes = 0;
-    std::uint64_t block_checks = 0, block_lanes = 0;
+    SolveStats effort;
   };
 
   std::vector<WorkerShard> shards(std::min(workers, num_tasks));
@@ -135,21 +135,14 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
 
   const auto run_task = [&](std::size_t w, std::size_t task) {
     WorkerShard& shard = shards[w];
-    detail::BacktrackingEngine engine(
-        plan, detail::BacktrackingEngine::PrefixSeed{&prefixes[task * depth], depth});
     const std::size_t begin = shard.solutions.size();
     RowBlock block(shard.solutions);
-    while (engine.next()) block.push(engine.row().data());
+    detail::enumerate(plan, components, {&prefixes[task * depth], depth}, block,
+                      shard.effort);
     block.flush();
     shard.segments.push_back(Segment{static_cast<std::uint32_t>(task),
                                      static_cast<std::uint32_t>(w), begin,
                                      shard.solutions.size() - begin});
-    shard.nodes += engine.nodes();
-    shard.checks += engine.constraint_checks();
-    shard.fast_checks += engine.fast_checks();
-    shard.prunes += engine.prunes();
-    shard.block_checks += engine.block_checks();
-    shard.block_lanes += engine.block_lanes();
   };
   result.stats.parallel_workers = static_cast<std::uint32_t>(
       util::parallel_for(num_tasks, shards.size(), run_task));
@@ -159,12 +152,7 @@ SolveResult ParallelBacktracking::solve(csp::Problem& problem) const {
   segments.reserve(num_tasks);
   for (const WorkerShard& shard : shards) {
     segments.insert(segments.end(), shard.segments.begin(), shard.segments.end());
-    result.stats.nodes += shard.nodes;
-    result.stats.constraint_checks += shard.checks;
-    result.stats.fast_checks += shard.fast_checks;
-    result.stats.prunes += shard.prunes;
-    result.stats.block_checks += shard.block_checks;
-    result.stats.block_lanes += shard.block_lanes;
+    add_effort(result.stats, shard.effort);
   }
   std::sort(segments.begin(), segments.end(),
             [](const Segment& a, const Segment& b) { return a.rank < b.rank; });

@@ -13,12 +13,8 @@ struct SolutionIterator::Impl {
 SolutionIterator::SolutionIterator(csp::Problem& problem, OptimizedOptions options)
     : impl_(std::make_unique<Impl>()), problem_(&problem) {
   impl_->plan = detail::build_plan(problem, options, impl_->stats);
-  const std::size_t first =
-      impl_->plan.order.empty()
-          ? 0
-          : impl_->plan.domains[impl_->plan.order[0]].size();
   impl_->engine =
-      std::make_unique<detail::BacktrackingEngine>(impl_->plan, 0, first);
+      std::make_unique<detail::BacktrackingEngine>(impl_->plan, impl_->plan.order);
 }
 
 SolutionIterator::~SolutionIterator() = default;
