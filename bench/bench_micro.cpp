@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): the per-evaluation costs that drive
 // the macro results — compiled vs interpreted constraint evaluation, the
-// boxed vs int64 evaluator tiers, specific vs generic constraints, and
-// SearchSpace lookup, neighbour, snap, restriction and sampling operations.
+// boxed vs int64 evaluator tiers, specific vs generic constraints, the
+// solution store's block packing, and SearchSpace lookup, neighbour, snap,
+// restriction and sampling operations.
 //
 // The custom main() additionally runs a self-timed boxed-vs-int64 comparison
 // over an integer-only expression mix and writes machine-readable results to
@@ -28,7 +29,9 @@
 #include "tunespace/searchspace/neighbors.hpp"
 #include "tunespace/searchspace/sampling.hpp"
 #include "tunespace/searchspace/view.hpp"
+#include "tunespace/solver/solver.hpp"
 #include "tunespace/spaces/realworld.hpp"
+#include "tunespace/util/rng.hpp"
 
 using namespace tunespace;
 using csp::Value;
@@ -161,6 +164,55 @@ static void BM_SearchSpaceLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchSpaceLookup);
+
+// A lookup that finds nothing: uniform random index rows of Dedispersion
+// that are not in the space, drawn before the timed loop (so, unlike the
+// hit case above, no row is materialized per lookup).
+static void BM_SearchSpaceLookupMiss(benchmark::State& state) {
+  searchspace::SearchSpace space(spaces::dedispersion().spec);
+  util::Rng rng(11);
+  std::vector<std::vector<std::uint32_t>> misses;
+  while (misses.size() < 256) {
+    std::vector<std::uint32_t> row(space.num_params());
+    for (std::size_t p = 0; p < row.size(); ++p) {
+      row[p] = static_cast<std::uint32_t>(rng.index(space.problem().domain(p).size()));
+    }
+    if (!space.find(row)) misses.push_back(std::move(row));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto found = space.find(misses[i]);
+    benchmark::DoNotOptimize(found);
+    i = (i + 1) % misses.size();
+  }
+}
+BENCHMARK(BM_SearchSpaceLookupMiss);
+
+// One RowBlock flush into a column of the given width (arg): 256 rows of an
+// 8-variable row-major block, appended at a block boundary as every flush
+// but a build's last is.  The column restarts every 4096 flushes, with
+// timing paused.
+static void BM_AppendStrided(benchmark::State& state) {
+  const auto bits = static_cast<unsigned>(state.range(0));
+  constexpr std::size_t kVars = 8;
+  constexpr std::size_t kRows = solver::RowBlock::kRows;
+  std::vector<std::uint32_t> rows(kRows * kVars);
+  util::Rng rng(bits);
+  for (auto& v : rows) v = static_cast<std::uint32_t>(rng() & ((1u << bits) - 1));
+  solver::PackedColumn col(bits);
+  std::size_t flushes = 0;
+  for (auto _ : state) {
+    if (++flushes % 4096 == 0) {
+      state.PauseTiming();
+      col = solver::PackedColumn(bits);
+      state.ResumeTiming();
+    }
+    col.append_strided(rows.data(), kRows, kVars);
+  }
+  benchmark::DoNotOptimize(col.words());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kRows));
+}
+BENCHMARK(BM_AppendStrided)->Arg(1)->Arg(3)->Arg(6);
 
 static void BM_HammingNeighbors(benchmark::State& state) {
   searchspace::SearchSpace space(spaces::dedispersion().spec);

@@ -19,7 +19,12 @@
 //   table     one {id, offset, byte size, checksum} entry per section
 //   sections  1 domains   parameter names + value lists (validated on load)
 //             2 columns   the bit-packed solution columns, words verbatim
-//             3 rowindex  the open-addressing row-lookup table
+//             3 rowindex  the open-addressing row-lookup table, laid out
+//                         by the row-key hash (searchspace.hpp)
+//
+// Version 3 changed only the row hash, so section 3's slots; version 2
+// files are rejected (load_or_build rebuilds them).  The key layout is
+// derived from the checked column widths on load and is not stored.
 //
 // Checksums are four-lane interleaved FNV-1a over 64-bit words.
 // load_snapshot memory-maps the file and *borrows* the column words and the
@@ -50,7 +55,7 @@
 namespace tunespace::searchspace {
 
 /// Snapshot format version written and accepted by this build.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// Thrown when a snapshot cannot be used: missing file, truncation, bad
 /// magic, format-version or endianness mismatch, checksum failure, or a

@@ -14,6 +14,16 @@
 //
 // Configurations are addressed by a dense row id in [0, size()).
 //
+// The table hashes each row once, by its *key*: the row's packed codes laid
+// end to end in 64-bit words, in parameter order, each at its column width;
+// a field that does not fit in the rest of a word starts the next one.  The
+// hash is mix64 folded over the key words from a fixed seed, then murmur3's
+// fmix64.  The layout is derived from the column widths wherever the
+// columns are set and is never persisted; the hash lays out the snapshot's
+// row table, so it is part of the format.  find() folds a query's key word
+// by word as it reads the values, and a value too wide for its field finds
+// nothing.
+//
 // Everything else the queries read is one *summary* of the packed columns:
 // for every 64 consecutive rows and every parameter the smallest and largest
 // value index (restriction and nearest-valid snapping skip blocks by them),
@@ -165,8 +175,15 @@ class SearchSpace {
   }
   void derive_summary() const;
 
+  /// Where parameter p's code sits in a row's key: `bits` (its column
+  /// width) bits at bit `shift` of key word `word`.
+  struct KeyField {
+    std::uint32_t word, shift, bits;
+  };
+  /// Lay the key fields out from the column widths; call wherever the
+  /// columns are set (after the solve, after a snapshot load).
+  void derive_key_layout();
   void build_row_table();
-  std::uint64_t row_hash(const std::uint32_t* row) const;
   bool row_equals(std::uint32_t row, const std::uint32_t* index_row) const;
 
   csp::Problem problem_;
@@ -179,6 +196,9 @@ class SearchSpace {
   // kEmptySlot marks an empty bucket.  Load factor is kept <= 0.5.
   std::vector<std::uint32_t> hash_table_store_;
   std::span<const std::uint32_t> hash_table_;
+  // The row key's layout, `[p]` per parameter, and its word count (>= 1).
+  std::vector<KeyField> key_fields_;
+  std::size_t key_words_ = 1;
 
   // Keeps a loaded snapshot buffer alive while views borrow from it.
   std::shared_ptr<const void> snapshot_buffer_;

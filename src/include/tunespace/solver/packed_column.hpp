@@ -88,8 +88,11 @@ class PackedColumn {
   void push_back(std::uint32_t v);
 
   /// Append values[0], values[stride], ... (`count` entries, each fitting in
-  /// bits()), packed with one running bit cursor: the block path that
-  /// SolutionSet::append_block feeds from a row-major block.
+  /// bits()): the block path that SolutionSet::append_block feeds from a
+  /// row-major block.  When size() is a multiple of kBlockRows, each full
+  /// block runs a pack specialised by width, the mirror of decode()'s
+  /// unpack, writing each of its words once; the remaining entries, and
+  /// appends that start inside a block, go through one running bit cursor.
   void append_strided(const std::uint32_t* values, std::size_t count, std::size_t stride);
 
   /// Append `count` entries of `other` starting at `begin`.  Equal-width

@@ -132,7 +132,9 @@ class SolutionSet {
 /// The fixed-size staging block every engine emits rows through: push()
 /// copies one row into a row-major buffer, and every kRows rows the buffer
 /// is packed into the SolutionSet with append_block.  Call flush() before
-/// reading the set.
+/// reading the set.  kRows is a multiple of PackedColumn::kBlockRows, so
+/// every flush but a build's last starts on a column block and packs
+/// through append_strided's per-width block kernel.
 class RowBlock {
  public:
   static constexpr std::size_t kRows = 256;

@@ -714,6 +714,7 @@ SearchSpace load_snapshot(const tuner::TuningProblem& spec,
       word_offset += word_counts[p] * 8;
     }
     space.solutions_ = solver::SolutionSet(std::move(cols));
+    space.derive_key_layout();
   }
 
   // --- Row-lookup table: borrowed view.

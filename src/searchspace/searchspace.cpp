@@ -37,23 +37,43 @@ double SearchSpace::sparsity() const {
 
 namespace {
 
-/// Seed of the row hash: a row's hash is mix64 folded over its value
-/// indices in parameter order, starting here.  Snapshot row tables are laid
-/// out by this hash, so it is part of the format.
+/// Seed of the row hash: a row's hash is mix64 folded over its key words
+/// (searchspace.hpp) in order, starting here, then finished by fmix64.
+/// Snapshot row tables are laid out by this hash, so it is part of the
+/// format.
 constexpr std::uint64_t kRowHashSeed = 0x51A2B3C4D5E6F708ULL;
 
+/// murmur3's 64-bit finalizer.  One mix64 round over a one-word key leaves
+/// the low bits that pick a slot too weakly mixed: linear probes grow
+/// several-fold on some spaces.
+inline std::uint64_t fmix64(std::uint64_t h) {
+  h = (h ^ (h >> 33)) * 0xFF51AFD7ED558CCDULL;
+  h = (h ^ (h >> 33)) * 0xC4CEB9FE1A85EC53ULL;
+  return h ^ (h >> 33);
+}
+
 /// Rows decoded per column per step of the row-table build; a chunk of
-/// values and of row hashes stays in L1.
+/// values, keys and row hashes stays in L1.
 constexpr std::size_t kChunk = 1024;
 /// Rows between a row-table home slot's prefetch and its insertion.
 constexpr std::size_t kPrefetchAhead = 16;
 
 }  // namespace
 
-std::uint64_t SearchSpace::row_hash(const std::uint32_t* row) const {
-  std::uint64_t h = kRowHashSeed;
-  for (std::size_t p = 0; p < num_params(); ++p) h = util::mix64(h, row[p]);
-  return h;
+void SearchSpace::derive_key_layout() {
+  key_fields_.resize(num_params());
+  std::uint32_t word = 0;
+  std::uint32_t shift = 0;
+  for (std::size_t p = 0; p < num_params(); ++p) {
+    const std::uint32_t bits = solutions_.column(p).bits();
+    if (shift + bits > 64) {
+      ++word;
+      shift = 0;
+    }
+    key_fields_[p] = {word, shift, bits};
+    shift += bits;
+  }
+  key_words_ = word + 1;
 }
 
 bool SearchSpace::row_equals(std::uint32_t row,
@@ -79,28 +99,46 @@ csp::Config SearchSpace::config(std::size_t row) const {
 }
 
 void SearchSpace::build_row_table() {
+  derive_key_layout();
   const std::size_t n = size();
   const std::size_t d = num_params();
   assert(n < kEmptySlot);
 
   // Rows are inserted in ascending order, so the layout is deterministic.
-  // Each chunk's hashes are folded column by column (the same mix64 steps in
-  // the same order as row_hash), which keeps a chunk of independent hash
-  // chains in flight instead of one chain per row.
+  // Each chunk's keys are assembled column by column and its hashes folded
+  // key word by key word, which keeps a chunk of independent hash chains in
+  // flight instead of one chain per row.
   const std::size_t table_size =
       std::bit_ceil(std::max<std::size_t>(16, n * 2));
   hash_table_store_.assign(table_size, kEmptySlot);
   std::uint32_t* table = hash_table_store_.data();
   const std::size_t tmask = table_size - 1;
+  // `[word * kChunk + i]`.  Each word's first field has shift 0 and
+  // overwrites the previous chunk's word; a key of width-0 fields stays 0.
+  std::vector<std::uint64_t> keys(key_words_ * kChunk);
   std::uint64_t hashes[kChunk];
   std::uint32_t values[kChunk];
   for (std::size_t r0 = 0; r0 < n; r0 += kChunk) {
     const std::size_t len = std::min(kChunk, n - r0);
-    std::fill_n(hashes, len, kRowHashSeed);
     for (std::size_t p = 0; p < d; ++p) {
+      const KeyField& field = key_fields_[p];
+      if (field.bits == 0) continue;
       solutions_.column(p).decode(r0, len, values);
-      for (std::size_t i = 0; i < len; ++i) hashes[i] = util::mix64(hashes[i], values[i]);
+      std::uint64_t* key = keys.data() + field.word * kChunk;
+      if (field.shift == 0) {
+        std::copy_n(values, len, key);
+      } else {
+        for (std::size_t i = 0; i < len; ++i) {
+          key[i] |= std::uint64_t{values[i]} << field.shift;
+        }
+      }
     }
+    std::fill_n(hashes, len, kRowHashSeed);
+    for (std::size_t w = 0; w < key_words_; ++w) {
+      const std::uint64_t* key = keys.data() + w * kChunk;
+      for (std::size_t i = 0; i < len; ++i) hashes[i] = util::mix64(hashes[i], key[i]);
+    }
+    for (std::size_t i = 0; i < len; ++i) hashes[i] = fmix64(hashes[i]);
     for (std::size_t i = 0; i < std::min(kPrefetchAhead, len); ++i) {
       __builtin_prefetch(table + (hashes[i] & tmask), 1);
     }
@@ -161,12 +199,29 @@ std::optional<std::size_t> SearchSpace::find(
   if (index_row.size() != num_params() || hash_table_.empty()) {
     return std::nullopt;
   }
+  // The key is folded word by word as the values are read.  A value too
+  // wide for its field is in no row, and would spill into the next field.
+  std::uint64_t h = kRowHashSeed;
+  std::uint64_t word = 0;
+  std::uint32_t at = 0;
+  for (std::size_t p = 0; p < num_params(); ++p) {
+    const KeyField& field = key_fields_[p];
+    const std::uint64_t v = index_row[p];
+    if (v >> field.bits != 0) return std::nullopt;
+    if (field.word != at) {
+      h = util::mix64(h, word);
+      word = 0;
+      at = field.word;
+    }
+    word |= v << field.shift;
+  }
+  h = fmix64(util::mix64(h, word));
   // A snapshot loaded at SnapshotVerify::kShape borrows the table
   // unchecked, so its slots are range-checked here, where they are read,
   // and a table without an empty slot ends the probe after one lap.
   const std::size_t n = size();
   const std::size_t tmask = hash_table_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(row_hash(index_row.data())) & tmask;
+  std::size_t i = static_cast<std::size_t>(h) & tmask;
   for (std::size_t probe = 0; probe <= tmask; ++probe, i = (i + 1) & tmask) {
     const std::uint32_t row = hash_table_[i];
     if (row == kEmptySlot) return std::nullopt;

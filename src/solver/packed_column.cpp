@@ -52,6 +52,40 @@ std::uint64_t match_full_block(const std::uint64_t* words, const std::uint8_t* a
   }
 }
 
+/// Pack entry I of a full W-bit block, values[I * stride], into the running
+/// word `acc`; the entry that completes a word stores it to words[kWord]
+/// and leaves its spilled high bits in `acc`.  The mirror of block_entry.
+template <unsigned W, unsigned I>
+inline void pack_entry(const std::uint32_t* values, std::size_t stride,
+                       std::uint64_t& acc, std::uint64_t* words) {
+  constexpr unsigned kBit = I * W;
+  constexpr unsigned kWord = kBit / 64;
+  constexpr unsigned kOff = kBit % 64;
+  const std::uint64_t v = values[I * stride];
+  assert((v >> W) == 0 && "value exceeds column width");
+  if constexpr (kOff == 0) {
+    acc = v;
+  } else {
+    acc |= v << kOff;
+  }
+  if constexpr (kOff + W >= 64) {
+    words[kWord] = acc;
+    if constexpr (kOff + W > 64) acc = v >> (64 - kOff);
+  }
+}
+
+/// Pack the 64 entries values[0], values[stride], ... into words[0, W),
+/// unrolled with every word index and shift fixed at compile time; each
+/// word is written once.
+template <unsigned W>
+void pack_full_block(const std::uint32_t* values, std::size_t stride,
+                     std::uint64_t* words) {
+  std::uint64_t acc = 0;
+  [&]<unsigned... I>(std::integer_sequence<unsigned, I...> /*entries*/) {
+    (pack_entry<W, I>(values, stride, acc, words), ...);
+  }(kEntries);
+}
+
 /// Kernel tables indexed by width - 1, for widths 1..32.
 template <std::size_t... I>
 constexpr auto full_block_decoders(std::index_sequence<I...>) {
@@ -61,8 +95,13 @@ template <std::size_t... I>
 constexpr auto full_block_matchers(std::index_sequence<I...>) {
   return std::array{&match_full_block<static_cast<unsigned>(I + 1)>...};
 }
+template <std::size_t... I>
+constexpr auto full_block_packers(std::index_sequence<I...>) {
+  return std::array{&pack_full_block<static_cast<unsigned>(I + 1)>...};
+}
 constexpr auto kDecodeFullBlock = full_block_decoders(std::make_index_sequence<32>{});
 constexpr auto kMatchFullBlock = full_block_matchers(std::make_index_sequence<32>{});
+constexpr auto kPackFullBlock = full_block_packers(std::make_index_sequence<32>{});
 
 }  // namespace
 
@@ -175,6 +214,16 @@ void PackedColumn::append_strided(const std::uint32_t* values, std::size_t count
   }
   const std::size_t need = words_needed(size_ + count);
   if (need > owned_.size()) grow_to_words(need);
+  if (size_ % kBlockRows == 0) {
+    // Block b of a w-bit column is exactly the words [b * w, (b + 1) * w).
+    for (; count >= kBlockRows; count -= kBlockRows) {
+      std::uint64_t* block = owned_.data() + size_ / kBlockRows * bits_;
+      kPackFullBlock[bits_ - 1](values, stride, block);
+      values += kBlockRows * stride;
+      size_ += kBlockRows;
+    }
+    if (count == 0) return;
+  }
   const std::uint64_t bit = static_cast<std::uint64_t>(size_) * bits_;
   std::uint64_t* w = owned_.data() + (bit >> 6);
   unsigned fill = static_cast<unsigned>(bit & 63);

@@ -32,7 +32,7 @@ tuner::TuningProblem tiny_spec() {
   return spec;
 }
 
-// Binary layout constants of snapshot format version 2 (io.cpp): a
+// Binary layout constants of snapshot format version 3 (io.cpp): a
 // 112-byte fixed header followed by three 32-byte section-table entries
 // {id u32, reserved u32, offset u64, size u64, checksum u64}.
 constexpr std::size_t kHeaderBytes = 112;

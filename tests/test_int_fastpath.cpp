@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <string>
 
 #include "tunespace/csp/builtin_constraints.hpp"
 #include "tunespace/csp/problem.hpp"
@@ -448,6 +449,33 @@ TEST(BuiltinFastPath, AllSpecializeOnIntDomainsAndAgree) {
 
 namespace {
 
+/// Sets an environment variable (or clears it, given nullptr) for its
+/// scope, and restores the previous value on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prev = std::getenv(name)) prev_ = prev;
+    if (value) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  }
+  ~ScopedEnv() {
+    if (prev_) {
+      setenv(name_, prev_->c_str(), 1);
+    } else {
+      unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> prev_;
+};
+
 csp::Problem make_tuning_problem() {
   csp::Problem p;
   p.add_variable("bx", csp::Domain::powers(1, 128));
@@ -814,7 +842,12 @@ TEST(SolverBlockTier, OnAndOffProduceIdenticalRowsAndEffortCounters) {
   solver::OptimizedOptions off;
   off.block_eval = false;
 
-  const auto on = solver::OptimizedBacktracking().solve(p_on);
+  const auto on = [&] {
+    // The test compares the two tiers itself, so its block-on solve runs
+    // with TUNESPACE_BLOCK_EVAL cleared, whatever the caller set.
+    const ScopedEnv block_tier("TUNESPACE_BLOCK_EVAL", nullptr);
+    return solver::OptimizedBacktracking().solve(p_on);
+  }();
   const auto scalar = solver::OptimizedBacktracking(off).solve(p_off);
   EXPECT_GT(on.stats.block_checks, 0u);
   EXPECT_GT(on.stats.block_lanes, on.stats.block_checks);  // multi-lane groups
@@ -836,16 +869,20 @@ TEST(SolverBlockTier, OnAndOffProduceIdenticalRowsAndEffortCounters) {
 }
 
 TEST(SolverBlockTier, EnvToggleForcesScalarPath) {
-  setenv("TUNESPACE_BLOCK_EVAL", "0", 1);
   csp::Problem p = make_tuning_problem();
-  const auto result = solver::OptimizedBacktracking().solve(p);
-  unsetenv("TUNESPACE_BLOCK_EVAL");
+  const auto result = [&] {
+    const ScopedEnv scalar_tier("TUNESPACE_BLOCK_EVAL", "0");
+    return solver::OptimizedBacktracking().solve(p);
+  }();
   EXPECT_GT(result.solutions.size(), 0u);
   EXPECT_EQ(result.stats.block_checks, 0u);
   EXPECT_EQ(result.stats.block_lanes, 0u);
 }
 
 TEST(SolverBlockTier, ParallelEngineAccumulatesBlockCounters) {
+  // The counters under test come from the block tier, whatever the caller
+  // set TUNESPACE_BLOCK_EVAL to.
+  const ScopedEnv block_tier("TUNESPACE_BLOCK_EVAL", nullptr);
   csp::Problem p_seq = make_tuning_problem();
   csp::Problem p_par = make_tuning_problem();
   const auto seq = solver::OptimizedBacktracking().solve(p_seq);

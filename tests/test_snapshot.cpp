@@ -5,6 +5,7 @@
 // mismatched files, and the load_or_build construction cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -12,6 +13,8 @@
 #include <iomanip>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "support/spec_gen.hpp"
 
@@ -50,6 +53,7 @@ class SnapshotTest : public ::testing::Test {
 
 using PackedColumnTest = SnapshotTest;
 using CsvTest = SnapshotTest;
+using RowKeyTest = SnapshotTest;
 
 tuner::TuningProblem tiny_spec() {
   tuner::TuningProblem spec("tiny");
@@ -146,7 +150,7 @@ solver::PackedColumn borrowed_copy(const solver::PackedColumn& col,
 }
 
 /// The three section checksums of a saved snapshot as space-separated hex
-/// words, read from its section table (format version 2: a 112-byte header,
+/// words, read from its section table (format version 3: a 112-byte header,
 /// then three 32-byte entries {id u32, reserved u32, offset u64, size u64,
 /// checksum u64}).
 std::string section_checksums(const std::string& file) {
@@ -353,18 +357,59 @@ TEST_F(PackedColumnTest, BlockAppendMatchesPushBackWordForWord) {
   }
 }
 
+TEST_F(PackedColumnTest, BlockAlignedAppendMatchesPushBackWordForWord) {
+  // An append that starts on a block boundary packs its full blocks with
+  // the kernel specialised by width and the rest with the bit cursor.
+  constexpr std::size_t kBlock = solver::PackedColumn::kBlockRows;
+  for (unsigned bits = 1; bits <= 32; ++bits) {
+    for (std::size_t stride : {1u, 3u}) {
+      SCOPED_TRACE(testing::Message() << bits << " bits, stride " << stride);
+      const auto values = random_values(bits, 5 * kBlock + 256, 31 * bits + stride);
+      // The values are the last column of a row-major block of `stride`
+      // columns; the other slots hold bits no column may pick up.
+      std::vector<std::uint32_t> block(values.size() * stride, 0xFFFFFFFFu);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        block[i * stride + stride - 1] = values[i];
+      }
+      const auto append = [&](solver::PackedColumn& col, std::size_t count) {
+        col.append_strided(block.data() + col.size() * stride + stride - 1, count,
+                           stride);
+      };
+      for (std::size_t start : {std::size_t{0}, kBlock, 3 * kBlock}) {
+        for (std::size_t count : {64u, 131u, 256u, 1u, 63u}) {
+          solver::PackedColumn col =
+              pushed(bits, {values.begin(), values.begin() + start});
+          append(col, count);
+          const auto ref =
+              pushed(bits, {values.begin(), values.begin() + start + count});
+          ASSERT_TRUE(same_words(col, ref)) << "start " << start << ", count " << count;
+        }
+      }
+      // The same counts in one run: aligned starts, then unaligned ones.
+      solver::PackedColumn col(bits);
+      for (std::size_t count : {64u, 131u, 256u, 1u, 63u}) append(col, count);
+      ASSERT_TRUE(same_words(col, pushed(bits, {values.begin(),
+                                                values.begin() + col.size()})));
+    }
+  }
+}
+
 TEST_F(PackedColumnTest, BlockAppendOntoBorrowedColumnDetachesFirst) {
   for (unsigned bits : {1u, 5u, 17u, 32u}) {
-    const auto values = random_values(bits, 300, 900 + bits);
-    constexpr std::size_t kHead = 123;  // leaves the last borrowed word partly filled
-    const auto head = pushed(bits, {values.begin(), values.begin() + kHead});
-    std::shared_ptr<std::vector<std::uint64_t>> words;
-    auto col = borrowed_copy(head, words);
-    const std::vector<std::uint64_t> before = *words;
-    col.append_strided(values.data() + kHead, values.size() - kHead, 1);
-    EXPECT_FALSE(col.is_borrowed()) << "bits=" << bits;
-    EXPECT_EQ(*words, before) << "the borrowed buffer was written, bits=" << bits;
-    EXPECT_TRUE(same_words(col, pushed(bits, values))) << "bits=" << bits;
+    // 123 rows leave the last borrowed word partly filled; 128 end on a
+    // block, so the append's full blocks take the block kernel.
+    for (std::size_t head_rows : {123u, 128u}) {
+      SCOPED_TRACE(testing::Message() << bits << " bits, " << head_rows << " rows");
+      const auto values = random_values(bits, 300, 900 + bits);
+      const auto head = pushed(bits, {values.begin(), values.begin() + head_rows});
+      std::shared_ptr<std::vector<std::uint64_t>> words;
+      auto col = borrowed_copy(head, words);
+      const std::vector<std::uint64_t> before = *words;
+      col.append_strided(values.data() + head_rows, values.size() - head_rows, 1);
+      EXPECT_FALSE(col.is_borrowed());
+      EXPECT_EQ(*words, before) << "the borrowed buffer was written";
+      EXPECT_TRUE(same_words(col, pushed(bits, values)));
+    }
   }
 }
 
@@ -469,20 +514,156 @@ TEST_F(SnapshotTest, SaveOfReloadedSpaceIsByteIdentical) {
 
 TEST_F(SnapshotTest, SectionChecksumsArePinned) {
   // The columns and the row table are laid out by the packing order and the
-  // fixed mix64 row hash with ascending-row insertion.  These checksums (in
+  // fixed row-key hash with ascending-row insertion.  These checksums (in
   // section order: domains, columns, row table) were recorded with the
-  // row-at-a-time store and index build; a build path that moves any of
-  // them changes snapshot bytes and needs a kSnapshotFormatVersion bump.
-  // The header's timing fields lie outside every section.
+  // row-at-a-time store and index build, the row table's again when format
+  // version 3 changed the hash; a build path that moves any of them
+  // changes snapshot bytes and needs a kSnapshotFormatVersion bump.  The
+  // header's timing fields lie outside every section.
   const searchspace::SearchSpace gemm(spaces::gemm().spec);
   searchspace::save_snapshot(gemm, path("gemm.tss"));
   EXPECT_EQ(section_checksums(path("gemm.tss")),
-            "0b8af73d7d5c9c68 aafee37b42583d0f efd8dff55104e957");
+            "0b8af73d7d5c9c68 aafee37b42583d0f 81dba9b731ad0309");
 
   const searchspace::SearchSpace generated(testsupport::random_spec(60));
   searchspace::save_snapshot(generated, path("spec_gen-60.tss"));
   EXPECT_EQ(section_checksums(path("spec_gen-60.tss")),
-            "e7e1fe799325c3e8 f817ece9a9193dc1 cf33e527f32f0945");
+            "e7e1fe799325c3e8 f817ece9a9193dc1 643ccd58e3e14727");
+}
+
+// ---------------------------------------------------------------------------
+// Row key
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// find() against a brute-force set of the rows: every row finds itself,
+/// and random index rows (uniform draws, crossovers of two rows and rows
+/// with one value changed) are found exactly when the set holds them, at a
+/// row that holds them.
+void expect_find_matches_rows(const searchspace::SearchSpace& space,
+                              std::uint64_t seed) {
+  for (std::size_t r = 0; r < space.size(); ++r) {
+    ASSERT_EQ(space.find(space.indices(r)), r) << "row " << r;
+  }
+  const auto rows = space.solutions().sorted_rows();
+  util::Rng rng(seed);
+  const auto draw = [&](std::size_t p) {
+    return static_cast<std::uint32_t>(rng.index(space.problem().domain(p).size()));
+  };
+  for (int q = 0; q < 300; ++q) {
+    std::vector<std::uint32_t> query(space.num_params());
+    if (q % 3 == 0 || space.empty()) {
+      for (std::size_t p = 0; p < query.size(); ++p) query[p] = draw(p);
+    } else if (q % 3 == 1) {
+      const auto a = space.indices(rng.index(space.size()));
+      const auto b = space.indices(rng.index(space.size()));
+      for (std::size_t p = 0; p < query.size(); ++p) query[p] = rng.chance(0.5) ? a[p] : b[p];
+    } else {
+      query = space.indices(rng.index(space.size()));
+      if (!query.empty()) {
+        const std::size_t p = rng.index(query.size());
+        query[p] = draw(p);
+      }
+    }
+    const auto found = space.find(query);
+    ASSERT_EQ(found.has_value(), std::binary_search(rows.begin(), rows.end(), query))
+        << "query " << q;
+    if (found) {
+      EXPECT_EQ(space.indices(*found), query) << "query " << q;
+    }
+  }
+}
+
+}  // namespace
+
+TEST_F(RowKeyTest, FindMatchesABruteForceSetFreshAndLoaded) {
+  // The 8 Table 2 spaces, spec_gen seeds 0-99, and each one's kShape load,
+  // which derives the key layout from the loaded column widths.
+  std::vector<tuner::TuningProblem> specs;
+  for (const auto& rw : spaces::all_realworld()) specs.push_back(rw.spec);
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    specs.push_back(testsupport::random_spec(seed));
+  }
+  ASSERT_EQ(specs.size(), 108u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(specs[i].name());
+    const searchspace::SearchSpace fresh(specs[i]);
+    expect_find_matches_rows(fresh, i);
+    searchspace::save_snapshot(fresh, path("space.tss"));
+    const auto loaded = searchspace::load_snapshot(specs[i], path("space.tss"),
+                                                   searchspace::SnapshotVerify::kShape);
+    expect_find_matches_rows(loaded, i);
+  }
+}
+
+TEST_F(RowKeyTest, KeysOfTwoWordsAndWidthZeroFields) {
+  // Fourteen 17-value parameters are 5 bits each: twelve fill 60 bits of
+  // the first key word, and the thirteenth does not fit and starts the
+  // second.  The single-valued s0, s1 and s2 are width-0 fields: first,
+  // between and last.  p0..p12 are equal and p13 is free: 289 rows.
+  tuner::TuningProblem spec("two-words");
+  std::vector<std::int64_t> values(17);
+  for (std::size_t v = 0; v < values.size(); ++v) values[v] = static_cast<std::int64_t>(v);
+  spec.add_param("s0", {7});
+  for (int p = 0; p < 14; ++p) {
+    spec.add_param("p" + std::to_string(p), values);
+    if (p == 6) spec.add_param("s1", {3});
+  }
+  spec.add_param("s2", {5});
+  for (int p = 0; p < 12; ++p) {
+    spec.add_constraint("p" + std::to_string(p) + " == p" + std::to_string(p + 1));
+  }
+  const searchspace::SearchSpace fresh(spec);
+  ASSERT_EQ(fresh.size(), 17u * 17u);
+  std::size_t key_bits = 0, width_zero = 0;
+  for (std::size_t p = 0; p < fresh.num_params(); ++p) {
+    key_bits += fresh.solutions().column(p).bits();
+    width_zero += fresh.solutions().column(p).bits() == 0 ? 1 : 0;
+  }
+  ASSERT_EQ(key_bits, 70u);
+  ASSERT_EQ(width_zero, 3u);
+  searchspace::save_snapshot(fresh, path("two-words.tss"));
+  const auto loaded = searchspace::load_snapshot(spec, path("two-words.tss"),
+                                                 searchspace::SnapshotVerify::kShape);
+  for (const searchspace::SearchSpace* space : {&fresh, &loaded}) {
+    expect_find_matches_rows(*space, 3);
+    // A value one past its field's width, or far past it, is in no row.
+    for (std::size_t r : {std::size_t{0}, space->size() - 1}) {
+      for (std::size_t p = 0; p < space->num_params(); ++p) {
+        auto query = space->indices(r);
+        query[p] = 1u << space->solutions().column(p).bits();
+        EXPECT_FALSE(space->find(query)) << "row " << r << ", param " << p;
+        query[p] = 0xFFFFFFFFu;
+        EXPECT_FALSE(space->find(query)) << "row " << r << ", param " << p;
+      }
+    }
+  }
+}
+
+TEST_F(RowKeyTest, OneRowOfSingleValuedParameters) {
+  // Every field has width 0, so the key is one word of 0.
+  tuner::TuningProblem spec("constants");
+  spec.add_param("a", {4}).add_param("b", {2});
+  const searchspace::SearchSpace space(spec);
+  ASSERT_EQ(space.size(), 1u);
+  EXPECT_EQ(space.find({0, 0}), 0u);
+  EXPECT_FALSE(space.find({1, 0}));
+  EXPECT_FALSE(space.find({0, 1}));
+  EXPECT_FALSE(space.find({0}));
+}
+
+TEST_F(RowKeyTest, OnePastEveryFieldWidthIsFoundNowhere) {
+  for (const auto& rw : spaces::all_realworld()) {
+    SCOPED_TRACE(rw.name);
+    const searchspace::SearchSpace space(rw.spec);
+    const auto row = space.indices(space.size() / 2);
+    for (std::size_t p = 0; p < space.num_params(); ++p) {
+      auto query = row;
+      query[p] = 1u << space.solutions().column(p).bits();
+      EXPECT_FALSE(space.find(query)) << space.param_name(p);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -600,19 +781,22 @@ TEST_F(SnapshotTest, LoadOrBuildRebuildsOnCorruptHeader) {
   const auto rebuilt = searchspace::SearchSpace::load_or_build(spec, cache);
   expect_identical(built, rebuilt);
 
-  // A file of an older format version (version 1 also stored posting
-  // lists) is rebuilt too, and the rebuild rewrites the entry.
+  // A file of an older format version is rebuilt too, and the rebuild
+  // rewrites the entry.  Version 1 also stored posting lists; version 2
+  // laid the row table out by a per-parameter row hash.
   const tuner::Method method = tuner::optimized_method();
   const std::string entry = searchspace::snapshot_cache_entry(cache, spec, method);
-  {
-    std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
-    const std::uint32_t version = 1;
-    f.seekp(8);  // the format-version field follows the magic
-    f.write(reinterpret_cast<const char*>(&version), sizeof version);
+  for (const std::uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "version " << version);
+    {
+      std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(8);  // the format-version field follows the magic
+      f.write(reinterpret_cast<const char*>(&version), sizeof version);
+    }
+    EXPECT_THROW(searchspace::load_snapshot(spec, entry), searchspace::SnapshotError);
+    expect_identical(built, searchspace::SearchSpace::load_or_build(spec, cache));
+    EXPECT_NO_THROW(searchspace::load_snapshot(spec, entry));
   }
-  EXPECT_THROW(searchspace::load_snapshot(spec, entry), searchspace::SnapshotError);
-  expect_identical(built, searchspace::SearchSpace::load_or_build(spec, cache));
-  EXPECT_NO_THROW(searchspace::load_snapshot(spec, entry));
 }
 
 TEST_F(SnapshotTest, LoadOrBuildRefusesLambdaSpecs) {
