@@ -154,20 +154,27 @@ static void BM_ConstructDedispersion(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructDedispersion)->Unit(benchmark::kMillisecond);
 
+// A lookup that finds its row: random rows of Dedispersion, drawn as index
+// rows before the timed loop.  One untimed lookup first builds the row
+// table, which BM_RowTableFirstUse times.
 static void BM_SearchSpaceLookup(benchmark::State& state) {
   searchspace::SearchSpace space(spaces::dedispersion().spec);
-  std::size_t row = 0;
+  util::Rng rng(13);
+  std::vector<std::vector<std::uint32_t>> hits;
+  for (int i = 0; i < 256; ++i) hits.push_back(space.indices(rng.index(space.size())));
+  benchmark::DoNotOptimize(space.find(hits[0]));
+  std::size_t i = 0;
   for (auto _ : state) {
-    auto found = space.find(space.indices(row));
+    auto found = space.find(hits[i]);
     benchmark::DoNotOptimize(found);
-    row = (row + 1) % space.size();
+    i = (i + 1) % hits.size();
   }
 }
 BENCHMARK(BM_SearchSpaceLookup);
 
 // A lookup that finds nothing: uniform random index rows of Dedispersion
-// that are not in the space, drawn before the timed loop (so, unlike the
-// hit case above, no row is materialized per lookup).
+// that are not in the space, drawn before the timed loop (the draw's own
+// lookups build the row table).
 static void BM_SearchSpaceLookupMiss(benchmark::State& state) {
   searchspace::SearchSpace space(spaces::dedispersion().spec);
   util::Rng rng(11);
@@ -187,6 +194,24 @@ static void BM_SearchSpaceLookupMiss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchSpaceLookupMiss);
+
+// The first lookup on a fresh Hotspot space: building its row table from
+// the packed columns.  The space is built and destroyed while timing is
+// paused.
+static void BM_RowTableFirstUse(benchmark::State& state) {
+  const auto spec = spaces::hotspot().spec;
+  std::optional<searchspace::SearchSpace> space;
+  std::vector<std::uint32_t> row;
+  for (auto _ : state) {
+    state.PauseTiming();
+    space.reset();
+    space.emplace(spec);
+    row = space->indices(0);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(space->find(row));
+  }
+}
+BENCHMARK(BM_RowTableFirstUse)->Iterations(8)->Unit(benchmark::kMillisecond);
 
 // One RowBlock flush into a column of the given width (arg): 256 rows of an
 // 8-variable row-major block, appended at a block boundary as every flush

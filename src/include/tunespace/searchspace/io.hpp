@@ -19,21 +19,22 @@
 //   table     one {id, offset, byte size, checksum} entry per section
 //   sections  1 domains   parameter names + value lists (validated on load)
 //             2 columns   the bit-packed solution columns, words verbatim
-//             3 rowindex  the open-addressing row-lookup table, laid out
-//                         by the row-key hash (searchspace.hpp)
 //
-// Version 3 changed only the row hash, so section 3's slots; version 2
-// files are rejected (load_or_build rebuilds them).  The key layout is
-// derived from the checked column widths on load and is not stored.
+// Version 4 stores the domains and columns alone; both sections are
+// byte-identical to version 3's.  Version 3 also stored the row-lookup
+// table as a third section, which is derived data: a space builds it from
+// its columns on the first lookup (searchspace.hpp).  Each version names
+// one layout, so a version 3 file is rejected rather than read with its
+// third section skipped; files of versions 1-3 are rejected and
+// load_or_build rebuilds them.
 //
 // Checksums are four-lane interleaved FNV-1a over 64-bit words.
-// load_snapshot memory-maps the file and *borrows* the column words and the
-// row table straight out of the mapping (zero-copy): no parse, no copy, no
-// index rebuild — the result is byte-identical to a fresh construction
-// (same enumeration order, same CSV bytes, same query results) and
-// reloading is orders of magnitude faster than re-solving.  The summary the
-// queries read (searchspace.hpp) is derived data and is not stored; a
-// loaded space derives it on first use, as a fresh one does.
+// load_snapshot memory-maps the file and *borrows* the column words
+// straight out of the mapping (zero-copy): no parse, no copy — the result is
+// byte-identical to a fresh construction (same enumeration order, same CSV
+// bytes, same query results) and reloading is orders of magnitude faster
+// than re-solving.  Everything the queries read besides the columns is
+// derived on first use, by a loaded space as by a fresh one.
 //
 // Two verification levels (see SnapshotVerify): kFull additionally streams
 // every section through its checksum; kShape validates the header, the
@@ -55,7 +56,7 @@
 namespace tunespace::searchspace {
 
 /// Snapshot format version written and accepted by this build.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Thrown when a snapshot cannot be used: missing file, truncation, bad
 /// magic, format-version or endianness mismatch, checksum failure, or a
@@ -76,7 +77,7 @@ enum class SnapshotVerify {
   kFull,
 };
 
-/// Serialize a resolved space (domains, packed columns, row table) to `path`,
+/// Serialize a resolved space (domains, packed columns) to `path`,
 /// atomically (temp file + rename).  Throws std::runtime_error on I/O error.
 void save_snapshot(const SearchSpace& space, const std::string& path);
 

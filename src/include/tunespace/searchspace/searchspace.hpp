@@ -6,40 +6,38 @@
 // true parameter bounds (values that actually occur in valid configurations
 // — unavailable to dynamic approaches), and materialized config views.
 //
-// The row table is a flat array so a snapshot (searchspace/io.hpp) can
-// serialize it verbatim and a reload can *borrow* it straight out of the
-// snapshot buffer instead of rebuilding: the `std::span` view points either
-// at the owned store (fresh construction) or into the loaded buffer kept
-// alive by `snapshot_buffer_` (zero-copy reload).
-//
 // Configurations are addressed by a dense row id in [0, size()).
 //
-// The table hashes each row once, by its *key*: the row's packed codes laid
-// end to end in 64-bit words, in parameter order, each at its column width;
-// a field that does not fit in the rest of a word starts the next one.  The
-// hash is mix64 folded over the key words from a fixed seed, then murmur3's
-// fmix64.  The layout is derived from the column widths wherever the
-// columns are set and is never persisted; the hash lays out the snapshot's
-// row table, so it is part of the format.  find() folds a query's key word
-// by word as it reads the values, and a value too wide for its field finds
-// nothing.
+// A space is its domains and its packed columns; everything the queries
+// read besides them is derived from the columns on first use, once and
+// thread-safely, and is never persisted (a snapshot, searchspace/io.hpp,
+// holds the domains and columns alone).  There are two such derivations,
+// kept apart so that a lookup never pays for the summary and a restriction
+// never pays for the row table.
 //
-// Everything else the queries read is one *summary* of the packed columns:
-// for every 64 consecutive rows and every parameter the smallest and largest
-// value index (restriction and nearest-valid snapping skip blocks by them),
-// the number of rows holding each value, and the values that occur at all
-// (the true bounds).  It is derived in a single pass on first use and never
-// persisted, so a snapshot and its load stay as they are.  The derivation
-// range-checks every code against its domain, so a corrupt column loaded at
-// SnapshotVerify::kShape throws SnapshotError there instead of indexing
-// past a per-value table.
+// The row table is built by the first find().  It hashes each row once, by
+// its *key*: the row's packed codes laid end to end in 64-bit words, in
+// parameter order, each at its column width; a field that does not fit in
+// the rest of a word starts the next one.  The hash is mix64 folded over
+// the key words from a fixed seed, then murmur3's fmix64.  Rows are
+// inserted in ascending order.  The table is part of no format, so its
+// layout and hash may change freely as long as find()'s results do not.
+// find() folds a query's key word by word as it reads the values, and a
+// value too wide for its field finds nothing.
+//
+// The *summary* is built by the first restriction, snap or true-bounds
+// query: for every 64 consecutive rows and every parameter the smallest and
+// largest value index (restriction and nearest-valid snapping skip blocks
+// by them), the number of rows holding each value, and the values that
+// occur at all (the true bounds).  The derivation range-checks every code
+// against its domain, so a corrupt column loaded at SnapshotVerify::kShape
+// throws SnapshotError there instead of indexing past a per-value table.
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -111,7 +109,8 @@ class SearchSpace {
   const solver::SolutionSet& solutions() const { return solutions_; }
 
   // --- Lookup ---------------------------------------------------------------
-  /// Row id of an index-row, if it is a valid configuration.
+  /// Row id of an index-row, if it is a valid configuration.  The first
+  /// call builds the row table (thread-safe); later calls only probe it.
   std::optional<std::size_t> find(const std::vector<std::uint32_t>& index_row) const;
   /// Row id of a value config (values must exist in the domains).
   std::optional<std::size_t> find_config(const csp::Config& config) const;
@@ -149,7 +148,38 @@ class SearchSpace {
                                    const std::string& path,
                                    SnapshotVerify verify);
 
-  static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+  /// A value derived on first use, once and thread-safely.  Boxed so the
+  /// space stays movable; `ready` turns true once the value is complete, so
+  /// a derived value is read without taking the lock.  A derivation that
+  /// throws leaves the box empty, and the next call derives again.  A mutex
+  /// guards the derivation rather than std::call_once: under
+  /// ThreadSanitizer, a call_once whose callable threw blocks every later
+  /// call.
+  template <typename T>
+  class FirstUse {
+   public:
+    template <typename Derive>
+    const T& get(const Derive& derive) const {
+      Box& box = *box_;
+      if (!box.ready.load(std::memory_order_acquire)) {
+        const std::lock_guard<std::mutex> lock(box.mutex);
+        if (!box.ready.load(std::memory_order_relaxed)) {
+          box.value = derive();
+          box.ready.store(true, std::memory_order_release);
+        }
+      }
+      return box.value;
+    }
+
+   private:
+    struct Box {
+      std::mutex mutex;
+      std::atomic<bool> ready{false};
+      T value;
+    };
+    std::unique_ptr<Box> box_ = std::make_unique<Box>();
+  };
+
   /// Rows per block of the summary's code ranges.
   static constexpr std::size_t kBlockRows = solver::PackedColumn::kBlockRows;
 
@@ -167,23 +197,32 @@ class SearchSpace {
     /// `[p]`: the value indices with a nonzero count, ascending.
     std::vector<std::vector<std::uint32_t>> present;
   };
-  /// The summary, derived on first call (thread-safe); throws SnapshotError
-  /// on a code outside its domain.
+  /// The summary, derived on first call; throws SnapshotError on a code
+  /// outside its domain.
   const Summary& summary() const {
-    if (!summary_->ready.load()) derive_summary();
-    return summary_->value;
+    return summary_.get([this] { return derive_summary(); });
   }
-  void derive_summary() const;
+  Summary derive_summary() const;
 
   /// Where parameter p's code sits in a row's key: `bits` (its column
   /// width) bits at bit `shift` of key word `word`.
   struct KeyField {
     std::uint32_t word, shift, bits;
   };
-  /// Lay the key fields out from the column widths; call wherever the
-  /// columns are set (after the solve, after a snapshot load).
-  void derive_key_layout();
-  void build_row_table();
+  /// Row-lookup table (see the file comment): open addressing, power-of-two
+  /// size, linear probing, kEmptySlot marks an empty slot.  Load factor is
+  /// kept <= 0.5, so every probe ends at an empty slot.
+  struct RowTable {
+    static constexpr std::uint32_t kEmptySlot = 0xFFFFFFFFu;
+    std::vector<std::uint32_t> slots;
+    /// The row key's layout, `[p]` per parameter.
+    std::vector<KeyField> fields;
+  };
+  /// The row table, built on first call.
+  const RowTable& row_table() const {
+    return row_table_.get([this] { return build_row_table(); });
+  }
+  RowTable build_row_table() const;
   bool row_equals(std::uint32_t row, const std::uint32_t* index_row) const;
 
   csp::Problem problem_;
@@ -192,26 +231,11 @@ class SearchSpace {
   double construction_seconds_ = 0.0;
   std::uint64_t fingerprint_ = 0;
 
-  // Row-lookup table: open addressing, power-of-two size, linear probing,
-  // kEmptySlot marks an empty bucket.  Load factor is kept <= 0.5.
-  std::vector<std::uint32_t> hash_table_store_;
-  std::span<const std::uint32_t> hash_table_;
-  // The row key's layout, `[p]` per parameter, and its word count (>= 1).
-  std::vector<KeyField> key_fields_;
-  std::size_t key_words_ = 1;
-
   // Keeps a loaded snapshot buffer alive while views borrow from it.
   std::shared_ptr<const void> snapshot_buffer_;
 
-  // The lazily-derived summary; boxed so the space stays movable.  `ready`
-  // turns true once `value` is complete, so a derived summary is read
-  // without entering call_once.
-  struct SummaryBox {
-    std::once_flag once;
-    std::atomic<bool> ready{false};
-    Summary value;
-  };
-  std::unique_ptr<SummaryBox> summary_ = std::make_unique<SummaryBox>();
+  FirstUse<Summary> summary_;
+  FirstUse<RowTable> row_table_;
 };
 
 }  // namespace tunespace::searchspace

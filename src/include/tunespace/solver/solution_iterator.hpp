@@ -25,8 +25,9 @@ class SolutionIterator {
   SolutionIterator& operator=(SolutionIterator&&) noexcept;
 
   /// Next solution as original-domain value indices (variable order), or
-  /// nullopt when exhausted.
-  std::optional<std::vector<std::uint32_t>> next();
+  /// nullptr when exhausted.  The row is the engine's own: no copy is made,
+  /// and it stays valid until the next call.
+  const std::vector<std::uint32_t>* next();
 
   /// Next solution materialized as a Config, or nullopt when exhausted.
   std::optional<csp::Config> next_config();

@@ -1,6 +1,5 @@
 #include "tunespace/searchspace/io.hpp"
 
-#include <bit>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
@@ -203,10 +202,9 @@ namespace {
 
 constexpr char kMagic[8] = {'T', 'S', 'S', 'N', 'A', 'P', '\0', '\0'};
 constexpr std::uint32_t kEndianTag = 0x01020304u;
-constexpr std::uint32_t kSectionCount = 3;
+constexpr std::uint32_t kSectionCount = 2;
 constexpr std::uint32_t kSectionDomains = 1;
 constexpr std::uint32_t kSectionColumns = 2;
-constexpr std::uint32_t kSectionRowIndex = 3;
 // magic + version + endian + fingerprint + params + sections + rows +
 // stats(5x u64 + 2x u32 + 2x f64) + construction seconds.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 4 + 4 + 8 + 64 + 8;
@@ -218,8 +216,8 @@ constexpr std::size_t kSectionEntryBytes = 4 + 4 + 8 + 8 + 8;
 /// one multiply per word — the checksum is the dominant CPU cost of a kFull
 /// reload.  Streamable: update() may be called repeatedly with 8-byte
 /// multiples (every snapshot piece is 8-aligned), which lets save_snapshot
-/// checksum the packed columns and indexes in place instead of copying them
-/// into a staging buffer first.
+/// checksum the packed columns in place instead of copying them into a
+/// staging buffer first.
 class Checksum {
  public:
   void update(const void* data, std::size_t n) {
@@ -460,10 +458,10 @@ void save_snapshot(const SearchSpace& space, const std::string& path) {
   const std::size_t n = space.size();
 
   // Sections are assembled as lists of (pointer, size) pieces so the bulk
-  // payloads — packed column words and the row table — are checksummed and
-  // written straight from the live space instead of being copied into
-  // staging buffers (which would briefly double the resolved space's memory
-  // footprint).  Only the small headers are staged.
+  // payload — the packed column words — is checksummed and written straight
+  // from the live space instead of being copied into staging buffers (which
+  // would briefly double the resolved space's memory footprint).  Only the
+  // small headers are staged.
   struct Piece {
     const void* data;
     std::size_t size;
@@ -487,9 +485,6 @@ void save_snapshot(const SearchSpace& space, const std::string& path) {
     col_headers.u64(col.word_count());
   }
 
-  Buf rowindex_header;
-  rowindex_header.u64(space.hash_table_.size());
-
   std::vector<Piece> pieces[kSectionCount];
   pieces[kSectionDomains - 1] = {{domains.out.data(), domains.out.size()}};
 
@@ -500,13 +495,6 @@ void save_snapshot(const SearchSpace& space, const std::string& path) {
     if (col.word_count() > 0) {
       columns.push_back({col.words(), col.word_count() * sizeof(std::uint64_t)});
     }
-  }
-
-  auto& rowindex = pieces[kSectionRowIndex - 1];
-  rowindex.push_back({rowindex_header.out.data(), rowindex_header.out.size()});
-  if (!space.hash_table_.empty()) {
-    rowindex.push_back({space.hash_table_.data(),
-                        space.hash_table_.size() * sizeof(std::uint32_t)});
   }
 
   // Pad every section to the 8-byte alignment the loader requires.
@@ -639,9 +627,9 @@ SearchSpace load_snapshot(const tuner::TuningProblem& spec,
       throw SnapshotError("snapshot section out of bounds: " + path);
     }
     // The domains section is tiny and anchors the whole file, so its
-    // checksum is always streamed; the bulk payload sections are streamed
-    // only under kFull (kShape trusts the atomically-written cache and
-    // keeps the zero-copy reload at microseconds).
+    // checksum is always streamed; the columns are streamed only under
+    // kFull (kShape trusts the atomically-written cache and keeps the
+    // zero-copy reload at microseconds).
     if ((verify == SnapshotVerify::kFull || id == kSectionDomains) &&
         checksum64(buffer->data + offset, static_cast<std::size_t>(size)) != sum) {
       throw SnapshotError("snapshot section " + std::to_string(id) +
@@ -714,32 +702,6 @@ SearchSpace load_snapshot(const tuner::TuningProblem& spec,
       word_offset += word_counts[p] * 8;
     }
     space.solutions_ = solver::SolutionSet(std::move(cols));
-    space.derive_key_layout();
-  }
-
-  // --- Row-lookup table: borrowed view.
-  {
-    const Section& sec = sections[kSectionRowIndex - 1];
-    Reader hr{buffer->data + sec.offset, static_cast<std::size_t>(sec.size)};
-    const std::uint64_t table_size = hr.u64();
-    const std::uint64_t expect_size =
-        std::bit_ceil(std::max<std::uint64_t>(16, n64 * 2));
-    if (table_size != expect_size) {
-      throw SnapshotError("snapshot row-table size mismatch: " + path);
-    }
-    if (8 + table_size * 4 > sec.size) {
-      throw SnapshotError("snapshot row-table section truncated: " + path);
-    }
-    const auto* slots =
-        reinterpret_cast<const std::uint32_t*>(buffer->data + sec.offset + 8);
-    if (verify == SnapshotVerify::kFull) {
-      for (std::uint64_t i = 0; i < table_size; ++i) {
-        if (slots[i] != SearchSpace::kEmptySlot && slots[i] >= n) {
-          throw SnapshotError("snapshot row-table slot out of range: " + path);
-        }
-      }
-    }
-    space.hash_table_ = {slots, static_cast<std::size_t>(table_size)};
   }
 
   space.snapshot_buffer_ = buffer;

@@ -21,14 +21,14 @@ SolutionIterator::~SolutionIterator() = default;
 SolutionIterator::SolutionIterator(SolutionIterator&&) noexcept = default;
 SolutionIterator& SolutionIterator::operator=(SolutionIterator&&) noexcept = default;
 
-std::optional<std::vector<std::uint32_t>> SolutionIterator::next() {
-  if (!impl_->engine->next()) return std::nullopt;
+const std::vector<std::uint32_t>* SolutionIterator::next() {
+  if (!impl_->engine->next()) return nullptr;
   ++count_;
-  return impl_->engine->row();
+  return &impl_->engine->row();
 }
 
 std::optional<csp::Config> SolutionIterator::next_config() {
-  auto row = next();
+  const std::vector<std::uint32_t>* row = next();
   if (!row) return std::nullopt;
   csp::Config config;
   config.reserve(row->size());

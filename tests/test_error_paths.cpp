@@ -1,5 +1,5 @@
 // Error-path coverage for searchspace/io (per-section snapshot corruption,
-// header field corruption, out-of-range row ids in a shape-verified
+// header field corruption, out-of-domain packed codes in a shape-verified
 // snapshot, CSV rejection messages) and searchspace/query
 // (unknown predicate names in every condition kind, the full behavior of
 // empty-selection views).
@@ -14,7 +14,6 @@
 #include "tunespace/searchspace/neighbors.hpp"
 #include "tunespace/searchspace/sampling.hpp"
 #include "tunespace/searchspace/view.hpp"
-#include "tunespace/spaces/realworld.hpp"
 #include "tunespace/tuner/runner.hpp"
 #include "tunespace/tuner/session.hpp"
 #include "tunespace/util/rng.hpp"
@@ -32,12 +31,12 @@ tuner::TuningProblem tiny_spec() {
   return spec;
 }
 
-// Binary layout constants of snapshot format version 3 (io.cpp): a
-// 112-byte fixed header followed by three 32-byte section-table entries
+// Binary layout constants of snapshot format version 4 (io.cpp): a
+// 112-byte fixed header followed by two 32-byte section-table entries
 // {id u32, reserved u32, offset u64, size u64, checksum u64}.
 constexpr std::size_t kHeaderBytes = 112;
 constexpr std::size_t kSectionEntryBytes = 32;
-constexpr std::size_t kSectionCount = 3;
+constexpr std::size_t kSectionCount = 2;
 
 struct TempSnapshot {
   std::string dir = "test_error_paths_scratch";
@@ -75,37 +74,6 @@ struct TempSnapshot {
     return v;
   }
 };
-
-/// Rewrite each of `count` u32 row ids stored from byte `at` of a snapshot
-/// image as `rewrite(id)`.
-template <typename Rewrite>
-void rewrite_u32s(std::string& data, std::uint64_t at, std::uint64_t count,
-                  Rewrite rewrite) {
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t id = 0;
-    std::memcpy(&id, data.data() + at + 4 * i, sizeof id);
-    id = rewrite(id);
-    std::memcpy(data.data() + at + 4 * i, &id, sizeof id);
-  }
-}
-
-/// Rewrite the row-table slots of a snapshot image (section 3: a u64 slot
-/// count, then one u32 per slot).
-template <typename Rewrite>
-void rewrite_row_table(const TempSnapshot& snap, std::string& data, Rewrite rewrite) {
-  const std::uint64_t offset = snap.table_u64(data, 2, 8);
-  std::uint64_t count = 0;
-  std::memcpy(&count, data.data() + offset, sizeof count);
-  rewrite_u32s(data, offset + 8, count, rewrite);
-}
-
-/// Row `row` of `space` as value indices, the key SearchSpace::find takes.
-std::vector<std::uint32_t> index_row(const searchspace::SearchSpace& space,
-                                     std::size_t row) {
-  std::vector<std::uint32_t> out(space.num_params());
-  for (std::size_t p = 0; p < out.size(); ++p) out[p] = space.value_index(row, p);
-  return out;
-}
 
 }  // namespace
 
@@ -213,54 +181,11 @@ TEST(SnapshotErrorPaths, LoadOrBuildFallsBackToAFreshBuildOnCorruption) {
                                              SnapshotVerify::kFull));
 }
 
-// --- Row ids a shape-verified snapshot does not check -------------------------
-// SnapshotVerify::kShape borrows the row table without a pass over it (that
-// pass would cost more than the load), so its reader range-checks the ids
-// it takes from it.
-
-TEST(SnapshotErrorPaths, OutOfRangeRowTableSlotsAreRejectedWhereRead) {
-  TempSnapshot snap(spaces::dedispersion().spec);
-  std::string corrupt = snap.bytes();
-  std::size_t occupied = 0;
-  rewrite_row_table(snap, corrupt, [&](std::uint32_t slot) {
-    if (slot == 0xFFFFFFFFu) return slot;  // an empty slot
-    ++occupied;
-    return 0x7FFFFFF0u;
-  });
-  snap.write(corrupt);
-  EXPECT_THROW(searchspace::load_snapshot(snap.spec, snap.mutant(),
-                                          SnapshotVerify::kFull),
-               SnapshotError);
-
-  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
-                                                 SnapshotVerify::kShape);
-  EXPECT_EQ(occupied, loaded.size());
-  const std::vector<std::uint32_t> first = index_row(loaded, 0);
-  EXPECT_THROW(loaded.find(first), SnapshotError);
-  const searchspace::SubSpace view(loaded);
-  EXPECT_THROW(view.find(first), SnapshotError);
-  EXPECT_THROW(searchspace::snap_to_valid(view, first), SnapshotError);
-}
-
-TEST(SnapshotErrorPaths, RowTableWithoutAnEmptySlotEndsTheProbe) {
-  TempSnapshot snap;
-  std::string corrupt = snap.bytes();
-  rewrite_row_table(snap, corrupt, [](std::uint32_t) { return 0u; });
-  snap.write(corrupt);
-  const auto loaded = searchspace::load_snapshot(snap.spec, snap.mutant(),
-                                                 SnapshotVerify::kShape);
-  ASSERT_GT(loaded.size(), 1u);
-  // Row 0 is in every slot: its own key still hits, any other key would
-  // probe forever without the one-lap bound.
-  EXPECT_EQ(loaded.find(index_row(loaded, 0)), 0u);
-  EXPECT_THROW(loaded.find(index_row(loaded, 1)), SnapshotError);
-}
-
 // --- Packed codes a shape-verified snapshot does not check ---------------------
-// kShape borrows the packed columns too.  A code at or above its domain's
-// size is representable whenever the size is not a power of two, so the
-// paths that turn codes into domain positions or index per-value tables
-// with them check them there.
+// SnapshotVerify::kShape borrows the packed columns unchecked.  A code at
+// or above its domain's size is representable whenever the size is not a
+// power of two, so the paths that turn codes into domain positions or index
+// per-value tables with them check them there.
 
 /// The tiny spec's snapshot with column b's first word set to all ones:
 /// a in {1,2,4,8}, b in {1,2,3}, so b's codes take 2 bits and every one of

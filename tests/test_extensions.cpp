@@ -158,7 +158,7 @@ TEST(SolutionIteratorTest, StreamsAllSolutionsInSolverOrder) {
   }
   EXPECT_EQ(i, reference.solutions.size());
   EXPECT_EQ(it.count(), reference.solutions.size());
-  EXPECT_FALSE(it.next().has_value());  // stays exhausted
+  EXPECT_EQ(it.next(), nullptr);  // stays exhausted
 }
 
 TEST(SolutionIteratorTest, EarlyExitExistenceCheck) {
@@ -177,7 +177,7 @@ TEST(SolutionIteratorTest, UnsatisfiableYieldsNothing) {
   problem.add_constraint(std::make_unique<csp::MinSum>(
       100, std::vector<std::string>{"x"}));
   solver::SolutionIterator it(problem);
-  EXPECT_FALSE(it.next().has_value());
+  EXPECT_EQ(it.next(), nullptr);
 }
 
 // --- ParallelBacktracking -----------------------------------------------------

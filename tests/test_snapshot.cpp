@@ -11,9 +11,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "support/spec_gen.hpp"
@@ -149,9 +151,9 @@ solver::PackedColumn borrowed_copy(const solver::PackedColumn& col,
   return solver::PackedColumn::borrowed(col.bits(), col.size(), words->data(), words);
 }
 
-/// The three section checksums of a saved snapshot as space-separated hex
-/// words, read from its section table (format version 3: a 112-byte header,
-/// then three 32-byte entries {id u32, reserved u32, offset u64, size u64,
+/// The two section checksums of a saved snapshot as space-separated hex
+/// words, read from its section table (format version 4: a 112-byte header,
+/// then two 32-byte entries {id u32, reserved u32, offset u64, size u64,
 /// checksum u64}).
 std::string section_checksums(const std::string& file) {
   constexpr std::size_t kHeaderBytes = 112;
@@ -163,7 +165,7 @@ std::string section_checksums(const std::string& file) {
   const std::string bytes = ss.str();
   std::ostringstream text;
   text << std::hex << std::setfill('0');
-  for (std::size_t s = 0; s < 3; ++s) {
+  for (std::size_t s = 0; s < 2; ++s) {
     const std::size_t at = kHeaderBytes + s * kSectionEntryBytes + kChecksumOffset;
     if (bytes.size() < at + sizeof(std::uint64_t)) return "truncated";
     std::uint64_t sum = 0;
@@ -513,22 +515,21 @@ TEST_F(SnapshotTest, SaveOfReloadedSpaceIsByteIdentical) {
 }
 
 TEST_F(SnapshotTest, SectionChecksumsArePinned) {
-  // The columns and the row table are laid out by the packing order and the
-  // fixed row-key hash with ascending-row insertion.  These checksums (in
-  // section order: domains, columns, row table) were recorded with the
-  // row-at-a-time store and index build, the row table's again when format
-  // version 3 changed the hash; a build path that moves any of them
+  // The columns are laid out by the packing order.  These checksums (in
+  // section order: domains, columns) were recorded with the row-at-a-time
+  // store and are unchanged since; a build path that moves either of them
   // changes snapshot bytes and needs a kSnapshotFormatVersion bump.  The
-  // header's timing fields lie outside every section.
+  // row table is derived on first lookup and is in no section, so its
+  // layout is pinned by find()'s results alone.  The header's timing
+  // fields lie outside every section.
   const searchspace::SearchSpace gemm(spaces::gemm().spec);
   searchspace::save_snapshot(gemm, path("gemm.tss"));
-  EXPECT_EQ(section_checksums(path("gemm.tss")),
-            "0b8af73d7d5c9c68 aafee37b42583d0f 81dba9b731ad0309");
+  EXPECT_EQ(section_checksums(path("gemm.tss")), "0b8af73d7d5c9c68 aafee37b42583d0f");
 
   const searchspace::SearchSpace generated(testsupport::random_spec(60));
   searchspace::save_snapshot(generated, path("spec_gen-60.tss"));
   EXPECT_EQ(section_checksums(path("spec_gen-60.tss")),
-            "e7e1fe799325c3e8 f817ece9a9193dc1 643ccd58e3e14727");
+            "e7e1fe799325c3e8 f817ece9a9193dc1");
 }
 
 // ---------------------------------------------------------------------------
@@ -666,6 +667,31 @@ TEST_F(RowKeyTest, OnePastEveryFieldWidthIsFoundNowhere) {
   }
 }
 
+TEST_F(RowKeyTest, ConcurrentFirstLookupsOnAShapeLoadedSpaceMatchAFreshBuild) {
+  // A load builds no row table; the first find() does.  Eight threads make
+  // their first lookups at once on a freshly loaded GEMM space, each over
+  // every eighth row, and each must get the fresh space's row ids.
+  const auto spec = spaces::gemm().spec;
+  const searchspace::SearchSpace fresh(spec);
+  searchspace::save_snapshot(fresh, path("gemm.tss"));
+  const auto loaded = searchspace::load_snapshot(spec, path("gemm.tss"),
+                                                 searchspace::SnapshotVerify::kShape);
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::size_t> wrong(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t r = t; r < fresh.size(); r += kThreads) {
+        if (loaded.find(fresh.indices(r)) != r) ++wrong[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0u) << "thread " << t;
+}
+
 // ---------------------------------------------------------------------------
 // Rejection paths
 // ---------------------------------------------------------------------------
@@ -783,10 +809,11 @@ TEST_F(SnapshotTest, LoadOrBuildRebuildsOnCorruptHeader) {
 
   // A file of an older format version is rebuilt too, and the rebuild
   // rewrites the entry.  Version 1 also stored posting lists; version 2
-  // laid the row table out by a per-parameter row hash.
+  // laid the row table out by a per-parameter row hash; version 3 stored
+  // the row table, which is now derived on first lookup.
   const tuner::Method method = tuner::optimized_method();
   const std::string entry = searchspace::snapshot_cache_entry(cache, spec, method);
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE(testing::Message() << "version " << version);
     {
       std::fstream f(entry, std::ios::binary | std::ios::in | std::ios::out);
